@@ -8,7 +8,8 @@ repeated; outputs are byte-identical across repeats (the manifest timestamp
 aside).
 
 Exit codes: 0 success, 2 bad arguments, 3 unreadable or malformed input,
-4 cyclic input where an acyclic one is required, 5 numeric overflow.
+4 cyclic input where an acyclic one is required, 5 numeric overflow.  Exit
+0 also when stdout's reader leaves early (`| head`): files are written first.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import sys
 from datetime import datetime, timezone
@@ -69,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     wm.add_argument("--method", choices=METHODS, default="spc",
                     help="weighting method (default: spc)")
     wm.add_argument("--mode", choices=MODES, default=None,
-                    help="numeric mode; defaults to float, or log when the "
-                         "network exceeds a million arcs")
+                    help="numeric mode of spc, splc and spnp (default float, "
+                         "log above a million arcs); nppc and sum are exact")
     wm.add_argument("--alpha", type=float, default=None, metavar="A",
                     help="aging factor in (0,1] for spnp path counting")
     wm.add_argument("--repair", choices=("shrink", "preprint"), default=None,
@@ -233,7 +235,7 @@ def _finish(args, input_raw: bytes, params: dict, files: dict[str, str],
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if stdout_text:
-        print(stdout_text)
+        print(stdout_text, flush=True)
     return EXIT_OK
 
 
@@ -277,8 +279,9 @@ def _weighted(args):
     raw, net = _load(args.input)
     net = simplify(net)
     net, repaired = _acyclic_or_repair(net, args.repair)
-    mode = _resolve_mode(args.mode, net.m)
-    std, result = _compute(net, args.method, mode, args.alpha)
+    std, result = _compute(net, args.method, _resolve_mode(args.mode, net.m),
+                           args.alpha)
+    mode = result.arc.mode  # what ran: nppc and sum exact, aging in floats
     try:
         if args.normalize:
             result = normalize(result)
@@ -453,6 +456,9 @@ def main(argv=None) -> int:
     except _Fail as fail:
         print(f"citeflow: error: {fail}", file=sys.stderr)
         return fail.code
+    except BrokenPipeError:  # devnull takes the interpreter's final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import citeflow
 from citeflow import Network, parse_pajek, spc, standardize, write_pajek
 from citeflow.cli import main
 
@@ -220,6 +225,38 @@ def test_log_mode_weights_are_logarithms(tmp_path, diamond_file):
     assert run(["weights", diamond_file, "--mode", "log", "--out", out]) == 0
     net = parse_pajek((out / "spc.net").read_text())
     assert net.weights.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_closure_methods_record_exact_mode(tmp_path, diamond_file, capsys):
+    out = tmp_path / "o"
+    assert run(["weights", diamond_file, "--method", "nppc", "--mode", "log",
+                "--out", out]) == 0
+    assert "mode         exact" in capsys.readouterr().out
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert params["mode"] == "exact"
+    assert "1 2 2\n" in (out / "nppc.net").read_text()
+
+
+def test_closed_stdout_pipe_is_not_an_error(tmp_path):
+    star = Network(600, [(1, j) for j in range(2, 601)])
+    path = tmp_path / "star.net"
+    path.write_text(write_pajek(star))
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(citeflow.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "citeflow", "hits", str(path), "--top",
+             "500", "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert (out / "hits.csv").exists() and (out / "manifest.json").exists()
 
 
 def test_alpha_spnp(tmp_path, diamond_file, capsys):

@@ -122,29 +122,58 @@ def test_spnp_matches_pair_enumeration(seed):
     assert list(res.arc)[:net.m] == expect
 
 
+def _check_closure_methods(net, anc, desc):
+    """nppc and sum_weights against closure sizes listed per vertex 1..n."""
+    arcs = arcs_of(net)
+    res = nppc(net)
+    assert list(res.arc) == [anc[u - 1] * desc[v - 1] for u, v in arcs]
+    assert list(res.vertex) == [a * d for a, d in zip(anc, desc)]
+    assert list(sum_weights(net).arc) == [anc[u - 1] + desc[v - 1]
+                                          for u, v in arcs]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_nppc_matches_warshall(seed):
     net, arcs = rand_instance(seed, n=10, density=0.3)
-    anc, desc = oracles.closure_counts(net.n, arcs)
+    _check_closure_methods(net, *oracles.closure_counts(net.n, arcs))
+
+
+@pytest.mark.parametrize("n", [4096, 4097])
+def test_nppc_across_the_block_boundary(n):
+    # 4096 sources fill one bitset block; one more vertex needs a second
+    nx = pytest.importorskip("networkx")
+    net = random_dag(n, 10_000 / (n * (n - 1) / 2), seed=n)
+    g = nx.DiGraph(arcs_of(net))
+    g.add_nodes_from(range(1, n + 1))
+    anc = [len(nx.ancestors(g, v)) + 1 for v in range(1, n + 1)]
+    desc = [len(nx.descendants(g, v)) + 1 for v in range(1, n + 1)]
+    _check_closure_methods(net, anc, desc)
+
+
+def _layered(layers, width):
+    """Complete bipartite arcs between consecutive layers: every stage
+    holds width*width arcs, more than the network has vertices."""
+    return Network(layers * width, [
+        (i * width + a, (i + 1) * width + b)
+        for i in range(layers - 1)
+        for a in range(1, width + 1) for b in range(1, width + 1)])
+
+
+@pytest.mark.parametrize("net", [random_dag(150, 0.05, seed=7),
+                                 _layered(6, 12)], ids=["random", "layered"])
+def test_nppc_over_several_blocks(monkeypatch, net):
+    monkeypatch.setattr(weights_mod, "_WORDS", 1)  # 64 sources per block
+    anc, desc = oracles.closure_counts(net.n, arcs_of(net))
+    _check_closure_methods(net, anc, desc)
+
+
+@pytest.mark.parametrize("net", [Network(0), Network(1), Network(3, [])],
+                         ids=["n0", "n1", "n3"])
+def test_closure_methods_without_arcs(net):
     res = nppc(net)
-    assert list(res.arc) == [anc[u - 1] * desc[v - 1] for u, v in arcs]
-    assert list(res.vertex) == [anc[v - 1] * desc[v - 1]
-                                for v in range(1, net.n + 1)]
-    sums = sum_weights(net)
-    assert list(sums.arc) == [anc[u - 1] + desc[v - 1] for u, v in arcs]
-
-
-def test_nppc_bitset_and_search_agree():
-    net, _ = rand_instance(33, n=40, density=0.15)
-    fast = nppc(net)
-    limit = weights_mod._BITSET_LIMIT
-    weights_mod._BITSET_LIMIT = 0  # force the per-vertex search fallback
-    try:
-        slow = nppc(net)
-    finally:
-        weights_mod._BITSET_LIMIT = limit
-    assert list(fast.arc) == list(slow.arc)
-    assert list(fast.vertex) == list(slow.vertex)
+    assert list(res.arc) == [] and res.vertex == (1,) * net.n
+    assert list(sum_weights(net).arc) == []
+    assert list(sum_weights(net, normalized=True).arc) == []
 
 
 def test_nppc_rejects_cycles():
