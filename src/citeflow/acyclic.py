@@ -220,28 +220,12 @@ def topological_order(net: Network) -> TopologicalOrder:
             if indeg[w - 1] == 0:
                 heapq.heappush(ready, w)
     if len(order) < n:
-        raise CycleError(_cycle_witness(net, {v for v in range(1, n + 1)
-                                              if indeg[v - 1] > 0}))
+        remaining = {v for v in range(1, n + 1) if indeg[v - 1] > 0}
+        raise CycleError(_cycle_witness_masked(net, remaining, None, False))
     position = [0] * n
     for rank, v in enumerate(order, start=1):
         position[v - 1] = rank
     return TopologicalOrder(tuple(order), tuple(position))
-
-
-def _cycle_witness(net: Network, remaining: set[int]) -> int:
-    """Walk predecessors inside `remaining` until a vertex repeats; every
-    vertex left over by Kahn's algorithm has one there."""
-    v = min(remaining)
-    seen: set[int] = set()
-    while v not in seen:
-        seen.add(v)
-        for u in net.predecessors(v).tolist():
-            if u in remaining:
-                v = u
-                break
-        else:  # pragma: no cover - cannot happen with a correct `remaining`
-            return v
-    return v
 
 
 def _levels(net: Network, skip_arc: int | None = None, reverse: bool = False):
@@ -286,6 +270,9 @@ def _levels(net: Network, skip_arc: int | None = None, reverse: bool = False):
 
 
 def _cycle_witness_masked(net, remaining, skip_arc, reverse) -> int:
+    """Walk predecessors (successors with `reverse`) inside `remaining`
+    until a vertex repeats; every vertex left over by Kahn's algorithm has
+    one there."""
     arcs_of = net.out_arcs if reverse else net.in_arcs
     ends = net.heads if reverse else net.tails
     v = min(remaining)
@@ -302,6 +289,54 @@ def _cycle_witness_masked(net, remaining, skip_arc, reverse) -> int:
         else:  # pragma: no cover
             return v
     return v
+
+
+def _stage_groups(near: np.ndarray, level: np.ndarray, arcs: np.ndarray,
+                  cap: int | None = None) -> list:
+    """Arc indices `arcs` split by the stage (level) of their `near` endpoint.
+
+    One (idx, ends, seg) per stage, lowest stage first: the stage's arcs
+    sorted by near endpoint (ties keep their order in `arcs`), the distinct
+    near endpoints, and where each endpoint's run starts in idx.  With `cap`
+    a stage is cut into slices of at most cap arcs, so an endpoint can own a
+    run in two slices.
+    """
+    if not len(arcs):
+        return []
+    ends = near[arcs]
+    order = np.lexsort((ends, level[ends]))
+    idx, ends = arcs[order], ends[order]
+    key = level[ends]
+    bounds = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])
+    run = np.r_[True, ends[1:] != ends[:-1]]  # where a near endpoint starts
+    step = cap or len(idx)
+    groups = []
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        for lo in range(a, b, step):
+            hi = min(b, lo + step)
+            run[lo] = True
+            seg = np.flatnonzero(run[lo:hi])
+            groups.append((idx[lo:hi], ends[lo:hi][seg], seg))
+    return groups
+
+
+def _sweep(c: np.ndarray, groups, far: np.ndarray, plus, times=None,
+           factor=None) -> np.ndarray:
+    """The one DAG recurrence, run in place over `_stage_groups` output.
+
+    Group by group, every near endpoint v takes
+    c[v] = c[v] ⊕ (⊕ of c[far[a]] ⊗ factor over its arcs a), with ⊕ the
+    ufunc `plus` and ⊗ the ufunc `times`; `factor` is None (no ⊗ at all),
+    one value for every arc, or an array indexed by arc.  Rows of a 2-D `c`
+    combine elementwise.
+    """
+    for idx, ends, seg in groups:
+        vals = c[far[idx]]
+        if factor is not None:
+            vals = times(vals, factor[idx] if isinstance(factor, np.ndarray)
+                         else factor)
+        c[ends] = plus(c[ends], plus.reduceat(vals, seg))
+    return c
 
 
 def is_acyclic(net: Network) -> bool:

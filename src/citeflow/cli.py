@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import statistics
 import sys
@@ -71,10 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
     wm.add_argument("--method", choices=METHODS, default="spc",
                     help="weighting method (default: spc)")
     wm.add_argument("--mode", choices=MODES, default=None,
-                    help="numeric mode of spc, splc and spnp (default float, "
-                         "log above a million arcs); nppc and sum are exact")
+                    help="numeric mode of spc, splc and spnp, aged or not "
+                         "(default float, log above a million arcs); nppc "
+                         "and sum are exact")
     wm.add_argument("--alpha", type=float, default=None, metavar="A",
-                    help="aging factor in (0,1] for spnp path counting")
+                    help="aging factor in (0,1] for spnp path counting, in "
+                         "any --mode")
     wm.add_argument("--repair", choices=("shrink", "preprint"), default=None,
                     help="repair a cyclic input before weighting instead of "
                          "failing")
@@ -110,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cut", parents=[io, wm],
                        help="subnetwork of arcs at or above a weight threshold")
     p.add_argument("--threshold", type=float, required=True, metavar="T",
-                   help="keep arcs with weight >= T (compared against the "
-                        "stored values, so ln-scale in log mode)")
+                   help="keep arcs with weight >= T, in linear units in "
+                        "every mode (log-scale weights are cut at ln T)")
 
     p = sub.add_parser("islands", parents=[io, wm],
                        help="maximal locally heavy clusters")
@@ -175,7 +178,7 @@ def _compute(net: Network, method: str, mode: str, alpha: float | None):
     std = standardize(net)
     try:
         if alpha is not None:
-            return std, aged_path_counts(std, alpha)
+            return std, aged_path_counts(std, alpha, mode)
         fn = {"spc": spc, "splc": splc, "spnp": spnp}[method]
         return std, fn(std, mode)
     except WeightOverflowError as exc:
@@ -281,7 +284,7 @@ def _weighted(args):
     net, repaired = _acyclic_or_repair(net, args.repair)
     std, result = _compute(net, args.method, _resolve_mode(args.mode, net.m),
                            args.alpha)
-    mode = result.arc.mode  # what ran: nppc and sum exact, aging in floats
+    mode = result.arc.mode  # what ran: nppc and sum are always exact
     try:
         if args.normalize:
             result = normalize(result)
@@ -372,7 +375,17 @@ def _cmd_cpm(args) -> int:
 def _cmd_cut(args) -> int:
     raw, net, std, result, mode, repaired = _weighted(args)
     vals = _original_arc_values(net, std, result)
-    sub = arc_cut(net, vals, args.threshold)
+    cut_vals, threshold = vals, args.threshold
+    if result.arc.mode == "log":  # logs: cut at ln T, where T is linear
+        if threshold <= 0:
+            threshold = -math.inf
+        else:
+            threshold = math.log(threshold)
+            if result.floored:  # zeros mapped to a floor stay below T > 0
+                floored = set(result.floored)
+                cut_vals = [-math.inf if i in floored else v
+                            for i, v in enumerate(vals)]
+    sub = arc_cut(net, cut_vals, threshold)
     files = {"cut.net": write_subnetwork(sub, vals)}
     sizes = sorted((len(c) for c in sub.components), reverse=True)
     text = (f"cut at {format_number(args.threshold)}: {len(sub.vertices)} "

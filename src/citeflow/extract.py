@@ -11,18 +11,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acyclic import StandardizedNetwork
+from .acyclic import StandardizedNetwork, _levels, _stage_groups, _sweep
 from .network import ArcWeights, Network
 from .pajek import write_pajek
 
 _REL_TIE = 1e-12
 
 
-def _tied(a, b, exact: bool) -> bool:
+def _tied(a, b, exact: bool):
+    """a == b for exact weights, else |a - b| <= _REL_TIE * max(|a|, |b|);
+    elementwise when `a` is an array."""
     if exact:
         return a == b
-    a, b = float(a), float(b)
-    return abs(a - b) <= _REL_TIE * max(abs(a), abs(b))
+    gap = abs(a - b)
+    return (gap <= _REL_TIE * abs(a)) | (gap <= _REL_TIE * abs(b))
 
 
 @dataclass(frozen=True)
@@ -53,29 +55,26 @@ class Subnetwork:
 def write_subnetwork(sub: Subnetwork, weights: ArcWeights | None = None) -> str:
     """Pajek text for a subnetwork; `weights` (aligned with the parent's
     arcs) overrides the written arc weight column."""
-    verts = sorted(sub.vertices)
-    remap = {v: i + 1 for i, v in enumerate(verts)}
-    net = Network(
-        len(verts),
-        [(remap[int(sub.parent.tails[i])], remap[int(sub.parent.heads[i])],
-          float(weights[i]) if weights is not None
-          else float(sub.parent.weights[i])) for i in sub.arcs],
-        [sub.parent.label(v) for v in verts])
-    return write_pajek(net)
+    return write_pajek(sub.to_network(),
+                       [float(weights[i]) for i in sub.arcs]
+                       if weights is not None else None)
 
 
 def _aligned(std: StandardizedNetwork, w: ArcWeights):
-    """Weight vector stretched to the standardized arc list.
+    """Weight array stretched to the standardized arc list, and whether it
+    is exact (then an object array of ints or Fractions).
 
     Flow-method vectors already line up.  Vectors computed on the original
     network (closure methods) get weight 0 on the auxiliary s/t arcs and the
     feedback arc, which keeps the traversals well-defined.
     """
+    exact = w.mode == "exact"
+    vals = np.array(w.values, dtype=object if exact else np.float64)
     if len(w) == std.base.m:
-        return list(w), w.mode == "exact"
+        return vals, exact
     if len(w) == std.original_m:
-        vals = list(w) + [0] * (std.base.m - std.original_m)
-        return vals, w.mode == "exact"
+        pad = np.zeros(std.base.m - std.original_m, dtype=vals.dtype)
+        return np.concatenate([vals, pad]), exact
     raise ValueError("weight vector matches neither the standardized nor "
                      "the original arc count")
 
@@ -93,6 +92,7 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
     the report.
     """
     vals, exact = _aligned(std, w)
+    vals = vals.tolist()
     base, fb = std.base, std.feedback_arc
     visited = {std.s}
     chosen: set[int] = set()
@@ -128,61 +128,30 @@ def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
     stages; every optimal path is reported when totals tie (exactly in
     integer weights, within relative 1e-12 in float).
     """
-    from .acyclic import _levels
-
     vals, exact = _aligned(std, w)
     base, fb = std.base, std.feedback_arc
-    _, order, ok, _ = _levels(base, skip_arc=fb)
+    level, _, ok, _ = _levels(base, skip_arc=fb)
     assert ok  # standardized networks are acyclic without the feedback arc
-    seq = order.tolist()
-    zero = 0 if exact else 0.0
-    fdist = [None] * (base.n + 1)  # best total s -> v
-    fdist[std.s] = zero
-    for v in seq:
-        if v == std.s:
-            continue
-        best = None
-        for ai in base.in_arcs(v).tolist():
-            if ai == fb:
-                continue
-            d = fdist[int(base.tails[ai])]
-            if d is None:
-                continue
-            cand = d + vals[ai]
-            if best is None or cand > best:
-                best = cand
-        fdist[v] = best
-    gdist = [None] * (base.n + 1)  # best total v -> t
-    gdist[std.t] = zero
-    for v in reversed(seq):
-        if v == std.t:
-            continue
-        best = None
-        for ai in base.out_arcs(v).tolist():
-            if ai == fb:
-                continue
-            d = gdist[int(base.heads[ai])]
-            if d is None:
-                continue
-            cand = d + vals[ai]
-            if best is None or cand > best:
-                best = cand
-        gdist[v] = best
+    arcs = np.flatnonzero(np.arange(base.m) != fb)
+    dist = []  # best total s -> v, then best total v -> t
+    for near, far, end, backward in ((base.heads, base.tails, std.s, False),
+                                     (base.tails, base.heads, std.t, True)):
+        c = np.full(base.n + 1, -np.inf, dtype=vals.dtype)
+        c[end] = 0
+        groups = _stage_groups(near, level, arcs)
+        dist.append(_sweep(c, groups[::-1] if backward else groups, far,
+                           np.maximum, np.add, vals))
+    fdist, gdist = dist
     optimum = fdist[std.t]
     chosen = []
-    for ai in range(base.m):
-        if ai == fb:
-            continue
-        u, v = int(base.tails[ai]), int(base.heads[ai])
-        if fdist[u] is None or gdist[v] is None:
-            continue
-        if _tied(fdist[u] + vals[ai] + gdist[v], optimum, exact):
-            chosen.append(ai)
-    verts = {v for v in range(1, base.n + 1)
-             if fdist[v] is not None and gdist[v] is not None
-             and _tied(fdist[v] + gdist[v], optimum, exact)}
-    keep = tuple(ai for ai in chosen if ai < std.original_m)
-    return Subnetwork(base, frozenset(verts - {std.s, std.t}), keep, "cpm_path")
+    for idx, _, _ in groups:  # one stage at a time bounds the exact totals
+        total = fdist[base.tails[idx]] + vals[idx] + gdist[base.heads[idx]]
+        chosen.append(idx[_tied(total, optimum, exact)])
+    keep = np.sort(np.concatenate([arcs[:0], *chosen]))
+    keep = tuple(keep[keep < std.original_m].tolist())
+    on_path = _tied(fdist + gdist, optimum, exact)
+    verts = frozenset((np.flatnonzero(on_path[1:]) + 1).tolist())
+    return Subnetwork(base, verts - {std.s, std.t}, keep, "cpm_path")
 
 
 # --- arc cut ---

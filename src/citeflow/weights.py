@@ -2,20 +2,24 @@
 
 Five weighting methods plus helpers:
 
-* spc  - counts of source-to-sink paths through each arc/vertex, computed in
-         two linear sweeps over a topological stage order.
-* splc - the same counting applied after linking the source to every vertex,
-         so every vertex starts its own search paths.
+* spc  - counts of source-to-sink paths through each arc/vertex.
+* splc - the same counting with the source linked to every vertex, so every
+         vertex starts its own search paths.
 * spnp - all-paths counting: the source and sink are linked to every vertex,
          which makes the arc weight the product of the path counts ending at
-         the tail and starting at the head.
+         the tail and starting at the head.  aged_path_counts damps each
+         path by alpha per arc.
 * nppc - products of ancestor and descendant set sizes (reachability
          closures), no standardization involved; sum adds the two sizes.
          Both count exactly, in O(n*m/64) word operations.
 
-Each flow method runs in one of three numeric modes: "float" (fast, raises
-on overflow to infinity), "exact" (arbitrary-precision integers), "log"
-(natural logs of counts; the sane choice beyond roughly a million arcs).
+The three flow methods and aging are one count: a forward and a backward
+stage sweep over the original arcs (acyclic._sweep), seeded at the vertices
+linked to s and t, from which every standardized arc, vertex and total value
+follows.  Each runs in one of three numeric modes: "float" (fast, raises on
+overflow to infinity), "exact" (arbitrary-precision integers, Fractions when
+aged), "log" (natural logs of counts; the sane choice beyond roughly a
+million arcs).  The closure bitsets run through the same sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .acyclic import CycleError, StandardizedNetwork, _levels
+from .acyclic import (CycleError, StandardizedNetwork, _levels,
+                      _stage_groups, _sweep)
 from .network import ArcWeights, Mode, MODES, Network
 
 _WORDS = 64  # most uint64 words per closure bitset: 4096 sources per block
@@ -58,109 +63,74 @@ class WeightResult:
     floored: tuple[int, ...] = ()
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown numeric mode: {mode!r}")
-
-
 # --- the counting engine ---
 
-def _arc_groups(net: Network, level: np.ndarray, feedback: int, by_heads: bool):
-    """Arc indices grouped by stage, sub-sorted by the grouped endpoint.
+# (dtype, zero, one, ⊕, ⊗) of the path-count semiring in each numeric mode
+_RINGS = {
+    "float": (np.float64, 0.0, 1.0, np.add, np.multiply),
+    "exact": (object, 0, 1, np.add, np.multiply),
+    "log": (np.float64, -np.inf, 0.0, np.logaddexp, np.add),
+}
 
-    Forward sweeps group arcs by the stage of their head (all arcs entering a
-    vertex land in one group); backward sweeps group by tail.
+
+def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
+                 alpha: float, mode: Mode):
+    """Two stage sweeps over the original arcs; returns (arc values, vertex
+    values, total flow), all aligned with the standardized network.
+
+    fwd[v] counts the paths ending at v, bwd[v] those starting at v, each
+    arc on them damped by `alpha`.  A path starts at a vertex linked to s:
+    the minimal ones, or every vertex with `seed_fwd`; it ends at one linked
+    to t: the maximal ones, or every vertex with `seed_bwd`.  fwd[t] and
+    bwd[s] sum those links in the order of the s and t arcs of the linked
+    standard form (the standard ones first).
     """
-    m = net.m
-    idx = np.flatnonzero(np.arange(m) != feedback)
-    ends = net.heads if by_heads else net.tails
-    key = level[ends[idx]]
-    idx = idx[np.lexsort((ends[idx], key))]
-    key = level[ends[idx]]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    bounds = np.r_[starts, len(idx)]
-    return [idx[bounds[i]:bounds[i + 1]] for i in range(len(starts))]
-
-
-def _counts_float(net, source, level, feedback, backward=False):
-    tails, heads = (net.heads, net.tails) if backward else (net.tails, net.heads)
-    counts = np.zeros(net.n + 1, dtype=np.float64)
-    counts[source] = 1.0
-    groups = _arc_groups(net, level, feedback, by_heads=not backward)
-    if backward:
-        groups = list(reversed(groups))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for g in groups:
-            np.add.at(counts, heads[g], counts[tails[g]])
-    return counts
-
-def _counts_log(net, source, level, feedback, backward=False):
-    tails, heads = (net.heads, net.tails) if backward else (net.tails, net.heads)
-    counts = np.full(net.n + 1, -np.inf, dtype=np.float64)
-    counts[source] = 0.0
-    groups = _arc_groups(net, level, feedback, by_heads=not backward)
-    if backward:
-        groups = list(reversed(groups))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for g in groups:
-            hs = heads[g]
-            seg = np.flatnonzero(np.r_[True, hs[1:] != hs[:-1]])
-            counts[hs[seg]] = np.logaddexp.reduceat(counts[tails[g]], seg)
-    return counts
-
-def _counts_exact(net, source, order, feedback, backward=False):
-    tails = (net.heads if backward else net.tails).tolist()
-    arcs_of = net.out_arcs if backward else net.in_arcs
-    counts = [0] * (net.n + 1)
-    counts[source] = 1
-    seq = order.tolist()
-    if backward:
-        seq = reversed(seq)
-    for v in seq:
-        if v == source:
-            continue
-        acc = 0
-        for ai in arcs_of(v).tolist():  # in-arcs of v in walking direction
-            if ai == feedback:
-                continue
-            acc += counts[tails[ai]]
-        counts[v] = acc
-    return counts
-
-
-def _flow_counts(net: Network, s: int, t: int, feedback: int, mode: Mode):
-    """Run the two sweeps; returns (arc values, vertex values, total flow)."""
-    level, order, ok, witness = _levels(net, skip_arc=feedback)
+    if mode not in MODES:
+        raise ValueError(f"unknown numeric mode: {mode!r}")
+    base, s, t, m = std.base, std.s, std.t, std.original_m
+    level, _, ok, witness = _levels(base, skip_arc=std.feedback_arc)
     if not ok:
         raise CycleError(witness)
-    tails, heads = net.tails, net.heads
-    if mode == "exact":
-        fwd = _counts_exact(net, s, order, feedback, backward=False)
-        bwd = _counts_exact(net, t, order, feedback, backward=True)
-        tl, hl = tails.tolist(), heads.tolist()
-        arc = [fwd[tl[i]] * bwd[hl[i]] for i in range(net.m)]
-        arc[feedback] = fwd[t]
-        vertex = tuple(fwd[v] * bwd[v] for v in range(1, net.n + 1))
-        return tuple(arc), vertex, fwd[t]
-    if mode == "log":
-        fwd = _counts_log(net, s, level, feedback)
-        bwd = _counts_log(net, t, level, feedback, backward=True)
-        with np.errstate(invalid="ignore"):
-            arc = fwd[tails] + bwd[heads]
-            vertex = fwd[1:] + bwd[1:]
-        arc[feedback] = fwd[t]
-        return arc, vertex, float(fwd[t])
-    fwd = _counts_float(net, s, level, feedback)
-    bwd = _counts_float(net, t, level, feedback, backward=True)
+    dtype, zero, one, plus, times = _RINGS[mode]
+    factor = None if alpha == 1 else {
+        "float": alpha, "exact": Fraction(alpha), "log": math.log(alpha)}[mode]
+    minimal = np.zeros(t + 1, dtype=bool)
+    minimal[base.heads[base.tails == s]] = True
+    maximal = np.zeros(t + 1, dtype=bool)
+    maximal[base.tails[base.heads == t]] = True
+    every = np.zeros(t + 1, dtype=bool)
+    every[1:s] = True
+
+    def sweep(near, far, seeded, backward):
+        c = np.where(seeded, one, zero).astype(dtype)
+        groups = _stage_groups(near, level, np.arange(m))
+        return _sweep(c, groups[::-1] if backward else groups, far, plus,
+                      times, factor)
+
+    def linked(c, seeded, standard):
+        order = np.r_[np.flatnonzero(standard),
+                      np.flatnonzero(seeded & ~standard)]
+        return plus.reduce(c[order], initial=zero)
+
+    to_s = every if seed_fwd else minimal
+    to_t = every if seed_bwd else maximal
     with np.errstate(over="ignore", invalid="ignore"):
-        arc = fwd[tails] * bwd[heads]
-        vertex = fwd[1:] * bwd[1:]
-    arc[feedback] = fwd[t]
-    if not (np.all(np.isfinite(arc)) and np.all(np.isfinite(vertex))):
+        fwd = sweep(base.heads, base.tails, to_s, backward=False)
+        bwd = sweep(base.tails, base.heads, to_t, backward=True)
+        fwd[s], fwd[t] = one, linked(fwd, to_t, maximal)
+        bwd[s], bwd[t] = linked(bwd, to_s, minimal), one
+        arc = times(fwd[base.tails], bwd[base.heads])
+        vertex = times(fwd[1:], bwd[1:])
+    total = fwd[t]
+    arc[std.feedback_arc] = total
+    if mode == "exact":
+        return tuple(arc.tolist()), tuple(vertex.tolist()), total
+    if mode == "float" and not (np.all(np.isfinite(arc))
+                                and np.all(np.isfinite(vertex))):
         raise WeightOverflowError(
             "path counts exceed the double range; rerun in mode='exact' "
             "or mode='log'")
-    return arc, vertex, float(fwd[t])
+    return arc, vertex, float(total)
 
 
 def _wrap(method, arc, vertex, total, mode, alpha=None) -> WeightResult:
@@ -175,26 +145,16 @@ def spc(std: StandardizedNetwork, mode: Mode = "float") -> WeightResult:
     The feedback arc carries the total flow: the number of distinct paths
     from s to t, which every minimal arc cut's weights sum to.
     """
-    _check_mode(mode)
-    arc, vertex, total = _flow_counts(std.base, std.s, std.t,
-                                      std.feedback_arc, mode)
-    return _wrap("SPC", arc, vertex, total, mode)
+    return _wrap("SPC", *_flow_counts(std, False, False, 1.0, mode), mode)
 
 
 def splc(std: StandardizedNetwork, mode: Mode = "float") -> WeightResult:
     """Path counts where every vertex also starts its own searches.
 
-    Internally the source is linked to each vertex that is not already a
-    minimal one and the counting runs on that extension; weights are reported
-    for the standardized arcs only.
+    As if the source were linked to every vertex, not only the minimal
+    ones; weights are reported for the standardized arcs.
     """
-    _check_mode(mode)
-    base = std.base
-    mins = set(base.successors(std.s).tolist())
-    extra = [u for u in range(1, std.original_n + 1) if u not in mins]
-    ext = _extend(base, [(std.s, u) for u in extra])
-    arc, vertex, total = _flow_counts(ext, std.s, std.t, std.feedback_arc, mode)
-    return _wrap("SPLC", arc[:base.m], vertex, total, mode)
+    return _wrap("SPLC", *_flow_counts(std, True, False, 1.0, mode), mode)
 
 
 def spnp(std: StandardizedNetwork, mode: Mode = "float") -> WeightResult:
@@ -204,28 +164,7 @@ def spnp(std: StandardizedNetwork, mode: Mode = "float") -> WeightResult:
     (paths starting at v), trivial paths included; the total flow is the
     number of paths in the whole original network.
     """
-    _check_mode(mode)
-    base = std.base
-    mins = set(base.successors(std.s).tolist())
-    maxs = set(base.predecessors(std.t).tolist())
-    extra = [(std.s, u) for u in range(1, std.original_n + 1) if u not in mins]
-    extra += [(u, std.t) for u in range(1, std.original_n + 1) if u not in maxs]
-    ext = _extend(base, extra)
-    arc, vertex, total = _flow_counts(ext, std.s, std.t, std.feedback_arc, mode)
-    return _wrap("SPNP", arc[:base.m], vertex, total, mode)
-
-
-def _extend(base: Network, extra_arcs: list[tuple[int, int]]) -> Network:
-    if not extra_arcs:
-        return base
-    et = np.array([a for a, _ in extra_arcs], dtype=np.int64)
-    eh = np.array([b for _, b in extra_arcs], dtype=np.int64)
-    return Network.from_arrays(
-        base.n,
-        np.concatenate([base.tails, et]),
-        np.concatenate([base.heads, eh]),
-        np.concatenate([base.weights, np.ones(len(et), dtype=np.float64)]),
-        base.labels)
+    return _wrap("SPNP", *_flow_counts(std, True, True, 1.0, mode), mode)
 
 
 # --- closure methods ---
@@ -241,14 +180,8 @@ def _closure_counts(net: Network, level: np.ndarray,
     """
     n = net.n
     near, far = (net.heads, net.tails) if backward else (net.tails, net.heads)
-    groups = []
-    for g in _arc_groups(net, level, -1, by_heads=backward):  # -1: skip none
-        # slices of at most n+1 arcs keep each gather no larger than the
-        # bitsets; a vertex split across two slices is ORed into twice
-        for a in range(0, len(g), n + 1):
-            ends = near[g[a:a + n + 1]]
-            seg = np.flatnonzero(np.r_[True, ends[1:] != ends[:-1]])
-            groups.append((ends[seg], far[g[a:a + n + 1]], seg))
+    # slices of at most n+1 arcs keep each gather no larger than the bitsets
+    groups = _stage_groups(near, level, np.arange(net.m), cap=n + 1)
     if not backward:
         groups.reverse()
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -257,8 +190,7 @@ def _closure_counts(net: Network, level: np.ndarray,
         bits = np.zeros((n + 1, -(-len(src) // 64)), dtype=np.uint64)
         bit = src - first
         bits[src, bit >> 6] = np.uint64(1) << (bit & 63).astype(np.uint64)
-        for ends, fars, seg in groups:
-            bits[ends] |= np.bitwise_or.reduceat(bits[fars], seg, axis=0)
+        _sweep(bits, groups, far, np.bitwise_or)
         counts += np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
     return counts
 
@@ -355,55 +287,19 @@ def _polys(base, order, feedback, source, backward):
     return tuple(tuple(p) for p in polys[1:])
 
 
-def aged_path_counts(std: StandardizedNetwork, alpha: float) -> WeightResult:
+def aged_path_counts(std: StandardizedNetwork, alpha: float,
+                     mode: Mode = "float") -> WeightResult:
     """All-paths weights with longer paths damped by alpha per arc.
 
     Replaces each path tally with sum(alpha^length); alpha = 1 reproduces
-    spnp exactly, alpha near 0 leaves every count at 1.  Float mode only.
+    spnp exactly, alpha near 0 leaves every count at 1.  Exact mode counts
+    in Fractions (the binary value of alpha), log mode adds ln alpha per
+    arc, and float mode raises WeightOverflowError as spnp does.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    base, fb, s, t = std.base, std.feedback_arc, std.s, std.t
-    level, order, ok, witness = _levels(base, skip_arc=fb)
-    if not ok:
-        raise CycleError(witness)
-    tl, hl = base.tails.tolist(), base.heads.tolist()
-    lm = [0.0] * (base.n + 1)
-    lp = [0.0] * (base.n + 1)
-    seq = order.tolist()
-    for v in seq:
-        if v in (s, t):
-            continue
-        acc = 0.0
-        for ai in base.in_arcs(v).tolist():
-            if ai != fb and tl[ai] != s:
-                acc += lm[tl[ai]]
-        lm[v] = 1.0 + alpha * acc
-    for v in reversed(seq):
-        if v in (s, t):
-            continue
-        acc = 0.0
-        for ai in base.out_arcs(v).tolist():
-            if ai != fb and hl[ai] != t:
-                acc += lp[hl[ai]]
-        lp[v] = 1.0 + alpha * acc
-    total = 0.0
-    for u in range(1, std.original_n + 1):
-        total += lm[u]
-    arc = np.empty(base.m, dtype=np.float64)
-    for i in range(base.m):
-        if i == fb:
-            arc[i] = total
-        elif tl[i] == s:
-            arc[i] = lp[hl[i]]
-        elif hl[i] == t:
-            arc[i] = lm[tl[i]]
-        else:
-            arc[i] = lm[tl[i]] * lp[hl[i]]
-    vertex = np.array([lm[v] * lp[v] for v in range(1, base.n + 1)])
-    vertex[s - 1] = total
-    vertex[t - 1] = total
-    return _wrap("SPNP", arc, vertex, total, "float", alpha=alpha)
+    return _wrap("SPNP", *_flow_counts(std, True, True, alpha, mode), mode,
+                 alpha=alpha)
 
 
 # --- post-processing ---

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import citeflow
-from citeflow import Network, parse_pajek, spc, standardize, write_pajek
+from citeflow import (Network, aged_path_counts, parse_pajek, random_dag, spc,
+                      standardize, write_pajek)
 from citeflow.cli import main
 
 from conftest import arcs_of
@@ -114,14 +116,19 @@ def test_usage_errors(tmp_path, diamond_file, capsys):
     capsys.readouterr()
 
 
-def test_overflow_exit_code(tmp_path, capsys):
+def _diamond_chain(k):
+    """k diamonds in a row: 2**k source-sink paths."""
     arcs = []
     a = 1
-    for _ in range(1030):
+    for _ in range(k):
         arcs += [(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
         a += 3
+    return Network(a, arcs)
+
+
+def test_overflow_exit_code(tmp_path, capsys):
     path = tmp_path / "deep.net"
-    path.write_text(write_pajek(Network(a, arcs)))
+    path.write_text(write_pajek(_diamond_chain(1030)))
     assert run(["weights", path, "--mode", "float",
                 "--out", tmp_path / "o"]) == 5
     assert "rerun in mode=" in capsys.readouterr().err
@@ -266,6 +273,40 @@ def test_alpha_spnp(tmp_path, diamond_file, capsys):
     assert "alpha        0.5" in capsys.readouterr().out
 
 
+def _jsonl_weights(path):
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    return [r["weight"] for r in lines if r["record"] != "summary"]
+
+
+def test_alpha_follows_mode(tmp_path, capsys):
+    path = tmp_path / "r.net"
+    path.write_text(write_pajek(random_dag(12, 0.35, seed=3)))
+    runs = {}
+    for mode in ("float", "exact", "log"):
+        out = tmp_path / mode
+        assert run(["weights", path, "--method", "spnp", "--alpha", "0.5",
+                    "--mode", mode, "--jsonl", "--out", out]) == 0
+        assert f"mode         {mode}" in capsys.readouterr().out
+        params = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert params["mode"] == mode
+        runs[mode] = _jsonl_weights(out / "spnp.jsonl")
+    std = standardize(parse_pajek(path.read_text()))
+    lib = aged_path_counts(std, 0.5, "exact")
+    want = list(lib.arc)[:std.original_m] + list(lib.vertex)[:std.original_n]
+    assert [Fraction(str(v)) for v in runs["exact"]] == want
+    assert any(isinstance(v, str) and "/" in v for v in runs["exact"])
+    for g, f in zip(runs["log"], runs["float"]):
+        assert math.isclose(math.exp(g), f, rel_tol=1e-9)
+
+
+def test_aged_overflow_exit_code(tmp_path, capsys):
+    path = tmp_path / "deep.net"
+    path.write_text(write_pajek(_diamond_chain(1030)))
+    assert run(["weights", path, "--method", "spnp", "--alpha", "1",
+                "--mode", "float", "--out", tmp_path / "o"]) == 5
+    assert "rerun in mode=" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         run(["--version"])
@@ -287,6 +328,39 @@ def test_cut_on_normalized_weights(tmp_path, diamond_file, capsys):
     assert kept.n == 4 and kept.m == 4
     params = json.loads((out2 / "manifest.json").read_text())["parameters"]
     assert params["normalize"] is True and params["threshold"] == 0.5
+
+
+@pytest.mark.parametrize("threshold",
+                         ["0.2", "0.1", "0.05", "1e-9", "0", "-1"])
+def test_cut_threshold_is_linear_in_every_mode(tmp_path, capsys, threshold):
+    path = tmp_path / "r.net"
+    path.write_text(write_pajek(random_dag(14, 0.3, seed=5)))
+    kept = []
+    for flags in (["--mode", "float"], ["--mode", "log"], ["--log"]):
+        out = tmp_path / "-".join(flags)
+        assert run(["cut", path, "--normalize", "--threshold", threshold,
+                    *flags, "--out", out]) == 0
+        kept.append(arcs_of(parse_pajek((out / "cut.net").read_text())))
+    capsys.readouterr()
+    assert kept[0] == kept[1] == kept[2]
+    assert 0 < len(kept[0])  # shares are multiples of 1/23, the largest 6/23
+
+
+def test_cut_never_keeps_floored_zeros(tmp_path, capsys):
+    # beside 2**1080 chain paths the lone arc's share is below the double
+    # range, so --log floors it one unit under the smallest positive log
+    chain = _diamond_chain(1080)
+    lone = Network(chain.n + 2, arcs_of(chain) + [(chain.n + 1, chain.n + 2)])
+    path = tmp_path / "n.net"
+    path.write_text(write_pajek(lone))
+    kept = []
+    for flags in ([], ["--log"]):
+        out = tmp_path / f"o{len(flags)}"
+        assert run(["cut", path, "--mode", "exact", "--normalize",
+                    "--threshold", "1e-300", *flags, "--out", out]) == 0
+        kept.append(arcs_of(parse_pajek((out / "cut.net").read_text())))
+    capsys.readouterr()
+    assert kept[0] == kept[1] == arcs_of(chain)
 
 
 def test_mainpath_unchanged_by_normalization(tmp_path, diamond_file, capsys):

@@ -112,6 +112,25 @@ def test_cpm_matches_enumeration(seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("kind", ["float", "dyadic", "exact"])
+def test_cpm_matches_enumeration_on_random_weights(seed, kind):
+    # float: ties improbable; dyadic floats and exact ints: ties frequent
+    net, arcs = rand_instance(seed, n=9, density=0.35)
+    std = standardize(net)
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        w = ArcWeights(rng.random(std.base.m), "float")
+    elif kind == "dyadic":
+        w = ArcWeights(rng.integers(1, 5, std.base.m) / 4.0, "float")
+    else:
+        w = ArcWeights(rng.integers(1, 4, std.base.m).tolist(), "exact")
+    best, arc_union, vert_union = oracles.cpm_oracle(net.n, arcs, list(w))
+    sub = cpm_path(std, w)
+    assert set(sub.arcs) == {i for i in arc_union if i < net.m}
+    assert sub.vertices == vert_union
+
+
+@pytest.mark.parametrize("seed", range(12))
 def test_cpm_dominates_greedy_branches(seed):
     net, arcs = rand_instance(seed, n=10, density=0.35)
     std, res = spc_setup(net)

@@ -90,6 +90,16 @@ def test_float_and_log_match_exact(seed, method):
         assert float(a) == b
 
 
+@pytest.mark.parametrize("mode", ["float", "exact", "log"])
+@pytest.mark.parametrize("method", [spc, splc, spnp])
+def test_flow_methods_without_arcs(method, mode):
+    # no arcs at all, then three isolated vertices: one path through each
+    for net, paths in ((Network(0), 0), (Network(3), 3)):
+        res = method(standardize(net), mode)
+        total = math.exp(res.total_flow) if mode == "log" else res.total_flow
+        assert math.isclose(total, paths) and len(res.arc) == 2 * net.n + 1
+
+
 def test_mode_validation(diamond):
     with pytest.raises(ValueError):
         spc(standardize(diamond), "double")
@@ -256,13 +266,15 @@ def test_polynomial_coefficients_count_paths_by_length(seed):
         assert sum(pp.p_minus[v - 1]) == len(by_vertex[v - 1])
 
 
-def test_aged_alpha_one_reproduces_spnp(diamond):
+@pytest.mark.parametrize("mode", ["float", "exact", "log"])
+def test_aged_alpha_one_reproduces_spnp(diamond, mode):
     std = standardize(diamond)
-    aged = aged_path_counts(std, 1.0)
-    plain = spnp(std, "float")
+    aged = aged_path_counts(std, 1.0, mode)
+    plain = spnp(std, mode)
     assert list(aged.arc) == list(plain.arc)
+    assert list(aged.vertex) == list(plain.vertex)
     assert aged.total_flow == plain.total_flow
-    assert aged.alpha == 1.0
+    assert aged.alpha == 1.0 and aged.arc.mode == mode
 
 
 def test_aged_half_on_chain(chain3):
@@ -270,6 +282,35 @@ def test_aged_half_on_chain(chain3):
     assert close(res.total_flow, 4.25)
     assert close(res.arc[0], 1.5)   # first link
     assert close(res.arc[-1], 4.25)  # closing arc carries the total
+    exact = aged_path_counts(standardize(chain3), 0.5, "exact")
+    assert exact.total_flow == Fraction(17, 4)
+    assert exact.arc[0] == Fraction(3, 2) and exact.arc[-1] == Fraction(17, 4)
+
+
+def _values(res):
+    return list(res.arc) + list(res.vertex) + [res.total_flow]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("alpha", [0.5, 0.3])
+def test_aged_modes_agree(seed, alpha):
+    net, _ = rand_instance(seed, n=12, density=0.35)
+    std = standardize(net)
+    flt = _values(aged_path_counts(std, alpha, "float"))
+    for e, f in zip(_values(aged_path_counts(std, alpha, "exact")), flt):
+        assert isinstance(e, (int, Fraction))
+        assert math.isclose(float(e), f, rel_tol=1e-12)
+    for g, f in zip(_values(aged_path_counts(std, alpha, "log")), flt):
+        assert math.isclose(math.exp(g), f, rel_tol=1e-9)
+
+
+def test_aged_overflow_raises():
+    std = standardize(complete_acyclic(1200))
+    with pytest.raises(WeightOverflowError):
+        spnp(std, "float")
+    with pytest.raises(WeightOverflowError):
+        aged_path_counts(std, 1.0)
+    assert math.isfinite(aged_path_counts(std, 1.0, "log").total_flow)
 
 
 def test_aged_alpha_range(diamond):
@@ -277,6 +318,8 @@ def test_aged_alpha_range(diamond):
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             aged_path_counts(std, bad)
+    with pytest.raises(ValueError):
+        aged_path_counts(std, 0.5, "double")
 
 
 def test_aged_small_alpha_flattens(diamond):
