@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network
+from .network import Network, _merged
 
 
 class CycleError(Exception):
@@ -41,10 +41,8 @@ class Partition:
                 if self.class_of[v - 1] == cls]
 
     def sizes(self) -> list[int]:
-        counts = [0] * self.class_count
-        for cls in self.class_of:
-            counts[cls - 1] += 1
-        return counts
+        counts = np.bincount(self.class_of, minlength=self.class_count + 1)
+        return counts[1:].tolist()
 
 
 def strong_components(net: Network) -> Partition:
@@ -104,16 +102,6 @@ def strong_components(net: Network) -> Partition:
     return Partition(tuple(remap[comp[v]] for v in range(1, n + 1)), ncomp)
 
 
-def _cyclic_classes(net: Network, part: Partition) -> set[int]:
-    """Classes that carry a cycle: size >= 2, or a singleton with a loop."""
-    sizes = part.sizes()
-    bad = {c + 1 for c, size in enumerate(sizes) if size >= 2}
-    for i in range(net.m):
-        if net.tails[i] == net.heads[i]:
-            bad.add(part.class_of[int(net.tails[i]) - 1])
-    return bad
-
-
 # --- repairs ---
 
 def remove_loops(net: Network) -> Network:
@@ -132,31 +120,13 @@ def shrink_components(net: Network, part: Partition | None = None) -> Network:
     """
     if part is None:
         part = strong_components(net)
-    cls = part.class_of
-    labels = [""] * part.class_count
-    for v in range(net.n, 0, -1):  # downward so the smallest member wins
-        labels[cls[v - 1] - 1] = net.label(v)
-    seen: dict[tuple[int, int], int] = {}
-    tails: list[int] = []
-    heads: list[int] = []
-    weights: list[float] = []
-    for i in range(net.m):
-        a = cls[int(net.tails[i]) - 1]
-        b = cls[int(net.heads[i]) - 1]
-        if a == b:
-            continue
-        at = seen.get((a, b))
-        if at is None:
-            seen[(a, b)] = len(tails)
-            tails.append(a)
-            heads.append(b)
-            weights.append(float(net.weights[i]))
-        else:
-            weights[at] += float(net.weights[i])
-    return Network.from_arrays(part.class_count,
-                               np.array(tails, dtype=np.int64),
-                               np.array(heads, dtype=np.int64),
-                               np.array(weights, dtype=np.float64), labels)
+    cls = np.array((0,) + part.class_of, dtype=np.int64)
+    smallest = np.unique(cls[1:], return_index=True)[1]
+    labels = [net.labels[i] for i in smallest.tolist()]
+    tails, heads = cls[net.tails], cls[net.heads]
+    keep = tails != heads
+    return _merged(part.class_count, tails[keep], heads[keep],
+                   net.weights[keep], labels)
 
 
 def preprint_transform(net: Network) -> Network:
@@ -168,29 +138,22 @@ def preprint_transform(net: Network) -> Network:
     inside such a component is redirected to start at the preprint, (u', v).
     Arcs between components are untouched.  The result is acyclic.
     """
-    part = strong_components(net)
-    bad = _cyclic_classes(net, part)
-    twins: dict[int, int] = {}
-    labels = list(net.labels)
-    for v in range(1, net.n + 1):
-        if part.class_of[v - 1] in bad:
-            twins[v] = net.n + len(twins) + 1
-            labels.append(net.label(v) + "'")
-    cls = part.class_of
-    tails = net.tails.copy()
-    heads = net.heads
-    for i in range(net.m):
-        u = int(tails[i])
-        if u in twins and cls[u - 1] == cls[int(heads[i]) - 1]:
-            tails[i] = twins[u]
-    extra_tails = [twins[v] for v in sorted(twins)]
-    extra_heads = sorted(twins)
-    all_tails = np.concatenate([tails, np.array(extra_tails, dtype=np.int64)])
-    all_heads = np.concatenate([heads, np.array(extra_heads, dtype=np.int64)])
-    all_weights = np.concatenate([net.weights,
-                                  np.ones(len(extra_tails), dtype=np.float64)])
-    return Network.from_arrays(net.n + len(twins), all_tails, all_heads,
-                               all_weights, labels)
+    n, tails, heads = net.n, net.tails, net.heads
+    cls = np.array((0,) + strong_components(net).class_of, dtype=np.int64)
+    bad = np.bincount(cls) >= 2  # a cyclic class has two members or a loop
+    bad[cls[tails[tails == heads]]] = True
+    cyclic = bad[cls]
+    members = np.flatnonzero(cyclic)
+    twin = np.zeros(n + 1, dtype=np.int64)
+    twin[members] = np.arange(n + 1, n + 1 + len(members))
+    inner = cyclic[tails] & (cls[tails] == cls[heads])
+    labels = list(net.labels) + [net.labels[v - 1] + "'"
+                                 for v in members.tolist()]
+    return Network.from_arrays(
+        n + len(members), np.r_[np.where(inner, twin[tails], tails),
+                                twin[members]],
+        np.r_[heads, members],
+        np.r_[net.weights, np.ones(len(members))], labels)
 
 
 # --- topological order ---
@@ -208,24 +171,21 @@ def topological_order(net: Network) -> TopologicalOrder:
     a loop counts as a cycle.
     """
     n = net.n
-    indeg = [net.in_degree(v) for v in range(1, n + 1)]
-    ready = [v for v in range(1, n + 1) if indeg[v - 1] == 0]
-    heapq.heapify(ready)
+    indeg = np.bincount(net.heads, minlength=n + 1).tolist()
+    ready = [v for v in range(1, n + 1) if indeg[v] == 0]  # sorted: a heap
     order: list[int] = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
         for w in net.successors(v).tolist():
-            indeg[w - 1] -= 1
-            if indeg[w - 1] == 0:
+            indeg[w] -= 1
+            if indeg[w] == 0:
                 heapq.heappush(ready, w)
     if len(order) < n:
-        remaining = {v for v in range(1, n + 1) if indeg[v - 1] > 0}
+        remaining = {v for v in range(1, n + 1) if indeg[v] > 0}
         raise CycleError(_cycle_witness_masked(net, remaining, None, False))
-    position = [0] * n
-    for rank, v in enumerate(order, start=1):
-        position[v - 1] = rank
-    return TopologicalOrder(tuple(order), tuple(position))
+    position = np.argsort(order) + 1  # rank of each vertex 1..n
+    return TopologicalOrder(tuple(order), tuple(position.tolist()))
 
 
 def _levels(net: Network, skip_arc: int | None = None, reverse: bool = False):
@@ -239,7 +199,7 @@ def _levels(net: Network, skip_arc: int | None = None, reverse: bool = False):
     """
     n = net.n
     heads = net.tails if reverse else net.heads
-    arcs_of = net.in_arcs if reverse else net.out_arcs
+    ptr, arcs = net._adjacency(reverse)
     indeg = np.bincount(heads, minlength=n + 1)
     if skip_arc is not None:
         indeg[heads[skip_arc]] -= 1
@@ -252,13 +212,15 @@ def _levels(net: Network, skip_arc: int | None = None, reverse: bool = False):
         level[frontier] = lev
         parts.append(frontier)
         done += frontier.size
-        chunks = [arcs_of(int(v)) for v in frontier.tolist()]
-        idx = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        # the frontier's CSR runs, concatenated: run starts repeated, plus
+        # each arc's offset within the concatenation
+        lo, count = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+        at = np.repeat(lo - np.cumsum(count) + count, count)
+        idx = arcs[at + np.arange(len(at))]
         if skip_arc is not None:
             idx = idx[idx != skip_arc]
-        hs = heads[idx]
-        np.subtract.at(indeg, hs, 1)
-        cand = np.unique(hs)
+        cand, hits = np.unique(heads[idx], return_counts=True)
+        indeg[cand] -= hits
         frontier = cand[indeg[cand] == 0]
         lev += 1
     order = (np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
@@ -385,19 +347,11 @@ def standardize(net: Network) -> StandardizedNetwork:
         raise CycleError(witness)
     n = net.n
     s, t = n + 1, n + 2
-    mins = [v for v in range(1, n + 1) if net.in_degree(v) == 0]
-    maxs = [v for v in range(1, n + 1) if net.out_degree(v) == 0]
-    tails = np.concatenate([net.tails,
-                            np.full(len(mins), s, dtype=np.int64),
-                            np.array(maxs, dtype=np.int64),
-                            np.array([t], dtype=np.int64)])
-    heads = np.concatenate([net.heads,
-                            np.array(mins, dtype=np.int64),
-                            np.full(len(maxs), t, dtype=np.int64),
-                            np.array([s], dtype=np.int64)])
-    weights = np.concatenate([net.weights,
-                              np.ones(len(mins) + len(maxs) + 1,
-                                      dtype=np.float64)])
+    mins = np.flatnonzero(np.bincount(net.heads, minlength=n + 1)[1:] == 0) + 1
+    maxs = np.flatnonzero(np.bincount(net.tails, minlength=n + 1)[1:] == 0) + 1
+    tails = np.concatenate([net.tails, np.full(len(mins), s), maxs, [t]])
+    heads = np.concatenate([net.heads, mins, np.full(len(maxs), t), [s]])
+    weights = np.r_[net.weights, np.ones(len(mins) + len(maxs) + 1)]
     labels = list(net.labels) + ["s", "t"]
     base = Network.from_arrays(t, tails, heads, weights, labels)
     added = tuple(range(net.m, net.m + len(mins) + len(maxs)))

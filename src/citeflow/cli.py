@@ -31,7 +31,7 @@ from . import __version__
 from .acyclic import (CycleError, is_acyclic, preprint_transform, remove_loops,
                       shrink_components, standardize, strong_components)
 from .extract import arc_cut, cpm_path, islands, main_path, write_subnetwork
-from .network import MODES, Network, simplify
+from .network import MODES, ArcWeights, Network, simplify
 from .pajek import (PajekParseError, format_number, parse_pajek, write_pajek,
                     write_partition, write_vector)
 from .rank import hits
@@ -188,7 +188,7 @@ def _compute(net: Network, method: str, mode: str, alpha: float | None):
 def _original_arc_values(net: Network, std, result) -> list:
     """Per-arc weights aligned with `net`, whichever network the method ran
     on (standardized networks keep the original arcs first, in order)."""
-    vals = list(result.arc)
+    vals = result.arc.tolist()
     return vals[:net.m] if std is not None else vals
 
 
@@ -300,8 +300,7 @@ def _cmd_weights(args) -> int:
     arc_vals = _original_arc_values(net, std, result)
     files = {f"{args.method}.net": write_pajek(net, arc_vals)}
     if result.vertex is not None:
-        files[f"{args.method}.vec"] = write_vector(
-            list(result.vertex)[:net.n])
+        files[f"{args.method}.vec"] = write_vector(result.vertex[:net.n])
 
     summary = [f"method       {result.method}",
                f"mode         {mode}",
@@ -314,10 +313,13 @@ def _cmd_weights(args) -> int:
         summary.append(f"totalFlow    {format_number(result.total_flow)}")
     summary.append(f"normalized   {'yes' if result.normalized else 'no'}")
     if net.m:
-        summary.append("arc weights  min %s  median %s  max %s" % (
-            format_number(min(arc_vals)),
-            format_number(statistics.median(arc_vals)),
-            format_number(max(arc_vals))))
+        if result.arc.mode == "exact":
+            spread = min(arc_vals), statistics.median(arc_vals), max(arc_vals)
+        else:
+            vals = np.array(arc_vals)
+            spread = vals.min(), np.median(vals), vals.max()
+        summary.append("arc weights  min %s  median %s  max %s"
+                       % tuple(map(format_number, spread)))
     if args.log:
         summary.append(f"floored      {len(result.floored)} zero-weight arcs")
     params = _weight_params(args, mode)
@@ -375,7 +377,7 @@ def _cmd_cpm(args) -> int:
 def _cmd_cut(args) -> int:
     raw, net, std, result, mode, repaired = _weighted(args)
     vals = _original_arc_values(net, std, result)
-    cut_vals, threshold = vals, args.threshold
+    cut_vals, threshold = ArcWeights(vals, result.arc.mode), args.threshold
     if result.arc.mode == "log":  # logs: cut at ln T, where T is linear
         if threshold <= 0:
             threshold = -math.inf
@@ -383,8 +385,8 @@ def _cmd_cut(args) -> int:
             threshold = math.log(threshold)
             if result.floored:  # zeros mapped to a floor stay below T > 0
                 floored = set(result.floored)
-                cut_vals = [-math.inf if i in floored else v
-                            for i, v in enumerate(vals)]
+                cut_vals = ArcWeights([-math.inf if i in floored else v
+                                       for i, v in enumerate(vals)], "log")
     sub = arc_cut(net, cut_vals, threshold)
     files = {"cut.net": write_subnetwork(sub, vals)}
     sizes = sorted((len(c) for c in sub.components), reverse=True)

@@ -1,8 +1,12 @@
 """Substructure extraction: main paths, critical paths, arc cuts, islands.
 
 All extractors consume a weight vector and return vertex/arc index sets, so
-any weighting method can drive them.  Float weight comparisons treat values
-within a relative 1e-12 as tied; exact-integer weights compare exactly.
+any weighting method can drive them.  Weights tie by one rule per mode
+(`_tied`): exactly in exact mode, within a relative 1e-12 in float mode and,
+in log mode, within 1e-12 times the larger of 1 and the logs' magnitude: an
+absolute gap of 1e-12 between logs is a relative 1e-12 between the linear
+values, but a log near 800 carries about 1e-13 of rounding per operation,
+and a path total sums a thousand of them on a deep network.
 """
 
 from __future__ import annotations
@@ -12,19 +16,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acyclic import StandardizedNetwork, _levels, _stage_groups, _sweep
-from .network import ArcWeights, Network
+from .network import ArcWeights, Network, _weak_roots
 from .pajek import write_pajek
 
-_REL_TIE = 1e-12
+_TIE = 1e-12
 
 
-def _tied(a, b, exact: bool):
-    """a == b for exact weights, else |a - b| <= _REL_TIE * max(|a|, |b|);
-    elementwise when `a` is an array."""
-    if exact:
+def _tied(a, b, mode: str):
+    """a == b for exact weights, |a - b| <= _TIE * max(|a|, |b|) for floats
+    and |a - b| <= _TIE * max(1, |a|, |b|) for logs; elementwise when `a`
+    is an array."""
+    if mode == "exact":
         return a == b
     gap = abs(a - b)
-    return (gap <= _REL_TIE * abs(a)) | (gap <= _REL_TIE * abs(b))
+    floor = _TIE if mode == "log" else 0.0
+    return (gap <= floor) | (gap <= _TIE * abs(a)) | (gap <= _TIE * abs(b))
 
 
 @dataclass(frozen=True)
@@ -44,12 +50,12 @@ class Subnetwork:
 
     def to_network(self) -> Network:
         """Materialize with dense 1-based ids (original labels kept)."""
-        verts = sorted(self.vertices)
-        remap = {v: i + 1 for i, v in enumerate(verts)}
-        arcs = [(remap[int(self.parent.tails[i])],
-                 remap[int(self.parent.heads[i])],
-                 float(self.parent.weights[i])) for i in self.arcs]
-        return Network(len(verts), arcs, [self.parent.label(v) for v in verts])
+        p, arcs = self.parent, np.array(self.arcs, dtype=np.int64)
+        verts = np.array(sorted(self.vertices), dtype=np.int64)
+        return Network.from_arrays(
+            len(verts), np.searchsorted(verts, p.tails[arcs]) + 1,
+            np.searchsorted(verts, p.heads[arcs]) + 1, p.weights[arcs],
+            [p.labels[v - 1] for v in verts.tolist()])
 
 
 def write_subnetwork(sub: Subnetwork, weights: ArcWeights | None = None) -> str:
@@ -61,20 +67,20 @@ def write_subnetwork(sub: Subnetwork, weights: ArcWeights | None = None) -> str:
 
 
 def _aligned(std: StandardizedNetwork, w: ArcWeights):
-    """Weight array stretched to the standardized arc list, and whether it
-    is exact (then an object array of ints or Fractions).
+    """Weight array stretched to the standardized arc list (an object array
+    of ints or Fractions in exact mode), and the mode.
 
     Flow-method vectors already line up.  Vectors computed on the original
     network (closure methods) get weight 0 on the auxiliary s/t arcs and the
     feedback arc, which keeps the traversals well-defined.
     """
-    exact = w.mode == "exact"
-    vals = np.array(w.values, dtype=object if exact else np.float64)
+    vals = np.array(w.values, dtype=object if w.mode == "exact"
+                    else np.float64)
     if len(w) == std.base.m:
-        return vals, exact
+        return vals, w.mode
     if len(w) == std.original_m:
         pad = np.zeros(std.base.m - std.original_m, dtype=vals.dtype)
-        return np.concatenate([vals, pad]), exact
+        return np.concatenate([vals, pad]), w.mode
     raise ValueError("weight vector matches neither the standardized nor "
                      "the original arc count")
 
@@ -91,7 +97,7 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
     comes back.  The source, sink and their auxiliary arcs are stripped from
     the report.
     """
-    vals, exact = _aligned(std, w)
+    vals, mode = _aligned(std, w)
     vals = vals.tolist()
     base, fb = std.base, std.feedback_arc
     visited = {std.s}
@@ -104,7 +110,7 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
             if not out:
                 continue
             best = max(vals[ai] for ai in out)
-            take = [ai for ai in out if _tied(vals[ai], best, exact)]
+            take = [ai for ai in out if _tied(vals[ai], best, mode)]
             if single:
                 take = [min(take, key=lambda ai: (int(base.heads[ai]), ai))]
             for ai in take:
@@ -125,10 +131,12 @@ def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
     """Arcs and vertices lying on maximum-total-weight source-sink paths.
 
     Classic two-sweep longest-path dynamic program over the topological
-    stages; every optimal path is reported when totals tie (exactly in
-    integer weights, within relative 1e-12 in float).
+    stages; every optimal path is reported when totals tie (`_tied`).  A
+    path's total is the sum of its linear weights in every mode: log weights
+    add with logaddexp, from ln 0 = -inf.
     """
-    vals, exact = _aligned(std, w)
+    vals, mode = _aligned(std, w)
+    times = np.logaddexp if mode == "log" else np.add
     base, fb = std.base, std.feedback_arc
     level, _, ok, _ = _levels(base, skip_arc=fb)
     assert ok  # standardized networks are acyclic without the feedback arc
@@ -137,19 +145,20 @@ def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
     for near, far, end, backward in ((base.heads, base.tails, std.s, False),
                                      (base.tails, base.heads, std.t, True)):
         c = np.full(base.n + 1, -np.inf, dtype=vals.dtype)
-        c[end] = 0
+        c[end] = -np.inf if mode == "log" else 0
         groups = _stage_groups(near, level, arcs)
         dist.append(_sweep(c, groups[::-1] if backward else groups, far,
-                           np.maximum, np.add, vals))
+                           np.maximum, times, vals))
     fdist, gdist = dist
     optimum = fdist[std.t]
     chosen = []
     for idx, _, _ in groups:  # one stage at a time bounds the exact totals
-        total = fdist[base.tails[idx]] + vals[idx] + gdist[base.heads[idx]]
-        chosen.append(idx[_tied(total, optimum, exact)])
+        total = times(times(fdist[base.tails[idx]], vals[idx]),
+                      gdist[base.heads[idx]])
+        chosen.append(idx[_tied(total, optimum, mode)])
     keep = np.sort(np.concatenate([arcs[:0], *chosen]))
     keep = tuple(keep[keep < std.original_m].tolist())
-    on_path = _tied(fdist + gdist, optimum, exact)
+    on_path = _tied(times(fdist, gdist), optimum, mode)
     verts = frozenset((np.flatnonzero(on_path[1:]) + 1).tolist())
     return Subnetwork(base, verts - {std.s, std.t}, keep, "cpm_path")
 
@@ -160,32 +169,19 @@ def arc_cut(net: Network, w: ArcWeights, threshold) -> Subnetwork:
     """Keep arcs with weight >= threshold, drop vertices the cut isolates."""
     if len(w) != net.m:
         raise ValueError("weight vector does not match arc count")
-    keep = tuple(i for i in range(net.m) if w[i] >= threshold)
-    verts = set()
-    for i in keep:
-        verts.add(int(net.tails[i]))
-        verts.add(int(net.heads[i]))
-    comps = _weak_components(net, keep, verts)
-    return Subnetwork(net, frozenset(verts), keep, "arc_cut", comps)
-
-
-def _weak_components(net, arc_ids, verts) -> tuple[frozenset[int], ...]:
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in arc_ids:
-        a, b = find(int(net.tails[i])), find(int(net.heads[i]))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    groups: dict[int, set[int]] = {}
+    if isinstance(w, ArcWeights) and w.mode != "exact":  # one array compare
+        at = np.flatnonzero(w.values >= threshold)
+    else:
+        at = np.array([i for i, v in enumerate(w) if v >= threshold],
+                      dtype=np.int64)
+    verts = np.unique(np.r_[net.tails[at], net.heads[at]]).tolist()
+    roots = _weak_roots(net.n, net.tails[at], net.heads[at])
+    groups: dict[int, list[int]] = {}
     for v in verts:
-        groups.setdefault(find(v), set()).add(v)
-    return tuple(frozenset(groups[r]) for r in sorted(groups))
+        groups.setdefault(roots[v], []).append(v)
+    comps = tuple(frozenset(groups[r]) for r in sorted(groups))
+    return Subnetwork(net, frozenset(verts), tuple(at.tolist()), "arc_cut",
+                      comps)
 
 
 # --- islands ---

@@ -1,8 +1,9 @@
 """Directed network model for citation analysis.
 
 Vertices are 1-based contiguous ids with string labels.  Arcs are stored as
-parallel numpy arrays (tail, head, weight) plus CSR-style adjacency indices,
-which keeps million-arc networks cheap to traverse.  An arc (u, v) points from
+parallel numpy arrays (tail, head, weight).  The CSR-style adjacency indices
+of each direction are built on first use, so a network that is only
+transformed or written never pays for them.  An arc (u, v) points from
 the cited (earlier) work u to the citing (later) work v, so arc direction
 follows the flow of knowledge forward in time.
 
@@ -66,8 +67,7 @@ class ArcWeights:
 class Network:
     """Immutable directed multigraph with labels and arc weights."""
 
-    __slots__ = ("n", "labels", "tails", "heads", "weights",
-                 "_out_ptr", "_out_idx", "_in_ptr", "_in_idx")
+    __slots__ = ("n", "labels", "tails", "heads", "weights", "_out", "_in")
 
     def __init__(self, n: int, arcs: Iterable[tuple] = (),
                  labels: Sequence[str] | None = None):
@@ -125,8 +125,7 @@ class Network:
         self.weights = weights
         for arr in (tails, heads, weights):
             arr.flags.writeable = False
-        self._out_ptr, self._out_idx = _csr(n, tails, heads)
-        self._in_ptr, self._in_idx = _csr(n, heads, tails)
+        self._out = self._in = None
 
     # --- basic accessors ---
 
@@ -153,11 +152,22 @@ class Network:
     # Arc indices within each list are ordered by (tail, head, input position),
     # so iteration order is deterministic for equal inputs.
 
+    def _adjacency(self, reverse: bool = False):
+        """(ptr, idx): arc indices grouped by tail, or by head with
+        `reverse`; built on first use."""
+        if reverse:
+            self._in = self._in or _csr(self.n, self.heads, self.tails)
+            return self._in
+        self._out = self._out or _csr(self.n, self.tails, self.heads)
+        return self._out
+
     def out_arcs(self, v: int) -> np.ndarray:
-        return self._out_idx[self._out_ptr[v]:self._out_ptr[v + 1]]
+        ptr, idx = self._adjacency()
+        return idx[ptr[v]:ptr[v + 1]]
 
     def in_arcs(self, v: int) -> np.ndarray:
-        return self._in_idx[self._in_ptr[v]:self._in_ptr[v + 1]]
+        ptr, idx = self._adjacency(reverse=True)
+        return idx[ptr[v]:ptr[v + 1]]
 
     def successors(self, v: int) -> np.ndarray:
         return self.heads[self.out_arcs(v)]
@@ -166,10 +176,10 @@ class Network:
         return self.tails[self.in_arcs(v)]
 
     def out_degree(self, v: int) -> int:
-        return int(self._out_ptr[v + 1] - self._out_ptr[v])
+        return len(self.out_arcs(v))
 
     def in_degree(self, v: int) -> int:
-        return int(self._in_ptr[v + 1] - self._in_ptr[v])
+        return len(self.in_arcs(v))
 
     # --- derived views ---
 
@@ -210,23 +220,38 @@ def simplify(net: Network) -> Network:
     collapsed first.  First occurrence fixes the merged arc's position; loops
     are kept (the repair step deals with them).
     """
-    seen: dict[tuple[int, int], int] = {}
-    tails: list[int] = []
-    heads: list[int] = []
-    weights: list[float] = []
-    for i in range(net.m):
-        key = (int(net.tails[i]), int(net.heads[i]))
-        at = seen.get(key)
-        if at is None:
-            seen[key] = len(tails)
-            tails.append(key[0])
-            heads.append(key[1])
-            weights.append(float(net.weights[i]))
-        else:
-            weights[at] += float(net.weights[i])
-    return Network.from_arrays(net.n, np.array(tails, dtype=np.int64),
-                               np.array(heads, dtype=np.int64),
-                               np.array(weights, dtype=np.float64), net.labels)
+    return _merged(net.n, net.tails, net.heads, net.weights, net.labels)
+
+
+def _merged(n, tails, heads, weights, labels) -> Network:
+    """Network on 1..n with parallel arcs merged: each (tail, head) pair sits
+    at its first occurrence, its weight the sum of its copies in input order
+    (bincount adds them one by one, like a running +=)."""
+    first, slot = np.unique(tails * (n + 1) + heads, return_index=True,
+                            return_inverse=True)[1:]
+    order = np.argsort(first)
+    keep = first[order]
+    return Network.from_arrays(n, tails[keep], heads[keep],
+                               np.bincount(np.argsort(order)[slot], weights,
+                                           len(keep)), labels)
+
+
+def _weak_roots(n: int, tails: np.ndarray, heads: np.ndarray) -> list[int]:
+    """Smallest member of each vertex's weak component (index 0..n) in the
+    graph of the given arcs: union-find with direction ignored."""
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    for t, h in zip(tails.tolist(), heads.tolist()):
+        rt, rh = find(t), find(h)
+        if rt != rh:
+            parent[max(rt, rh)] = min(rt, rh)  # a root is its set's minimum
+    return [find(v) for v in range(n + 1)]
 
 
 # --- generators ---

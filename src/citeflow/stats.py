@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acyclic import _levels, shrink_components, strong_components
-from .network import Network
+from .network import Network, _weak_roots
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,8 @@ def network_stats(net: Network) -> NetworkStats:
 
 
 def _weak_component_sizes(net: Network) -> list[int]:
-    """Union-find over arcs with direction ignored."""
-    parent = list(range(net.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    for t, h in zip(net.tails.tolist(), net.heads.tolist()):
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[max(rt, rh)] = min(rt, rh)
-    sizes = Counter(find(v) for v in range(1, net.n + 1))
-    return list(sizes.values())
+    roots = _weak_roots(net.n, net.tails, net.heads)[1:]
+    return list(Counter(roots).values())
 
 
 def format_stats(stats: NetworkStats) -> str:

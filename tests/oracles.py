@@ -221,3 +221,31 @@ def brute_islands(n, arcs, weights, k, kmax):
             if valid(members):
                 found.append(members)
     return {S for S in found if not any(S < T for T in found)}
+
+
+def merge_parallel(arcs):
+    """Parallel (tail, head, weight) arcs merged by a dict: each pair at its
+    first occurrence, its weight summed with a running += in input order."""
+    seen = {}
+    out = []
+    for u, v, w in arcs:
+        at = seen.get((u, v))
+        if at is None:
+            seen[(u, v)] = len(out)
+            out.append([u, v, w])
+        else:
+            out[at][2] += w
+    return [tuple(arc) for arc in out]
+
+
+def shrink_reference(n, arcs, class_of, labels):
+    """(class count, merged arcs, labels) of the network with every class
+    of `class_of` (index v-1, classes 1..k) collapsed to one vertex named
+    after its smallest member; arcs inside a class vanish."""
+    k = max(class_of, default=0)
+    names = [""] * k
+    for v in range(n, 0, -1):  # downward so the smallest member wins
+        names[class_of[v - 1] - 1] = labels[v - 1]
+    mapped = [(class_of[u - 1], class_of[v - 1], w) for u, v, w in arcs
+              if class_of[u - 1] != class_of[v - 1]]
+    return k, merge_parallel(mapped), names

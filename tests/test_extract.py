@@ -281,3 +281,26 @@ def test_islands_sorted_by_strength_then_vertex():
     out = islands(net, [3.0, 7.0, 3.0], min_size=2, max_size=2)
     assert [sorted(i.vertices) for i in out.islands] == \
         [[3, 4], [1, 2], [5, 6]]
+
+
+def test_cpm_maximizes_the_linear_sum_in_every_mode():
+    # log weights are ln counts: their totals must add counts, not logs
+    differ = []
+    for seed in range(300):
+        std = standardize(random_dag(40, 0.15, seed))
+        want = cpm_path(std, spc(std, "exact").arc)
+        for mode in ("float", "log"):
+            got = cpm_path(std, spc(std, mode).arc)
+            if (got.arcs, got.vertices) != (want.arcs, want.vertices):
+                differ.append((seed, mode))
+    assert differ == []
+
+
+def test_cpm_on_deep_log_weights_keeps_every_exact_tie():
+    # the log path totals here lie near 600 and carry several ulps of
+    # rounding, more than an absolute 1e-12; the log tie rule must allow it
+    std = standardize(random_dag(1500, 0.5, 2))
+    want = cpm_path(std, spc(std, "exact").arc)
+    got = cpm_path(std, spc(std, "log").arc)
+    assert len(want.arcs) == 864
+    assert (got.arcs, got.vertices) == (want.arcs, want.vertices)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from citeflow import ArcWeights, Network, complete_acyclic, random_dag, simplify
+from citeflow import (ArcWeights, Network, complete_acyclic, random_dag,
+                      shrink_components, simplify, strong_components)
 
+import oracles
 from conftest import arcs_of
 
 
@@ -79,6 +81,65 @@ def test_simplify_keeps_loops_and_merges_parallel_loops():
     merged = simplify(net)
     assert arcs_of(merged) == [(1, 1)]
     assert merged.weights.tolist() == [2.0]
+
+
+def random_multigraph(seed):
+    """Small digraph with parallels, loops and 2-cycles; weights of mixed
+    sign and magnitude so that summation order shows in the low bits."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    m = int(rng.integers(0, 40))
+    tails = rng.integers(1, n + 1, size=m)
+    heads = rng.integers(1, n + 1, size=m)
+    pick = rng.random(m)
+    heads = np.where(pick < 0.1, tails, heads)  # loops
+    back = (pick >= 0.1) & (pick < 0.2)  # reverse an earlier arc
+    earlier = rng.integers(0, np.arange(m) + 1)
+    tails, heads = (np.where(back, heads[earlier], tails),
+                    np.where(back, tails[earlier], heads))
+    weights = rng.standard_normal(m) * 10.0 ** rng.integers(-3, 17, size=m)
+    labels = [f"v{v}" for v in range(1, n + 1)]
+    return Network.from_arrays(n, tails, heads, weights, labels)
+
+
+def weighted_arcs(net):
+    return list(zip(net.tails.tolist(), net.heads.tolist(),
+                    net.weights.tolist()))
+
+
+def same_bits(net, n, arcs, labels):
+    want = np.array([w for _, _, w in arcs], dtype=np.float64)
+    return (net.n == n and net.labels == tuple(labels)
+            and arcs_of(net) == [(u, v) for u, v, _ in arcs]
+            and net.weights.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_simplify_matches_dict_merge_bit_for_bit(seed):
+    net = random_multigraph(seed)
+    assert same_bits(simplify(net), net.n,
+                     oracles.merge_parallel(weighted_arcs(net)), net.labels)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_shrink_matches_dict_merge_bit_for_bit(seed):
+    net = random_multigraph(seed)
+    part = strong_components(net)
+    assert same_bits(shrink_components(net, part),
+                     *oracles.shrink_reference(net.n, weighted_arcs(net),
+                                               part.class_of, net.labels))
+
+
+def test_merged_weights_add_in_input_order():
+    # left to right, 1e16 + 1 rounds back to 1e16 twice; a pairwise or
+    # reordered sum would reach 1e16 + 2
+    net = Network(3, [(1, 2, 1e16), (1, 2, 1.0), (2, 3, 5.0), (1, 2, 1.0)])
+    assert simplify(net).weights.tolist() == [1e16, 5.0]
+    cyclic = Network(4, [(1, 3, 1e16), (2, 3, 1.0), (1, 2, 7.0), (2, 1, 7.0),
+                         (1, 3, 1.0), (3, 4, 2.0)])
+    shrunk = shrink_components(cyclic)
+    assert arcs_of(shrunk) == [(1, 2), (2, 3)]
+    assert shrunk.weights.tolist() == [1e16, 2.0]
 
 
 def test_structural_equality():

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from citeflow import (Network, PajekParseError, format_number, parse_pajek,
-                      write_pajek, write_partition, write_vector)
+from citeflow import (ArcWeights, Network, PajekParseError, format_number,
+                      parse_pajek, write_pajek, write_partition, write_vector)
 
 from conftest import arcs_of
 
@@ -144,3 +146,94 @@ def test_format_number(value, text):
 def test_crlf_input_parses():
     net = parse_pajek(DIAMOND.replace("\n", "\r\n"))
     assert net.n == 4
+
+
+# --- grammar corners: each parses to the same Network as a hand-built one ---
+
+@pytest.mark.parametrize("text, n, arcs, labels", [
+    ("*Vertices 3\n% c\n\n1 \"a\"\n  % indented comment\n3 \"c\"\n"
+     "*Arcs\n% c\n1 2\n\n% c\n2 3\n", 3, [(1, 2), (2, 3)], ["a", "2", "c"]),
+    ("*Vertices\t3\n1\t\"a b\"\n*Arcs\n1\t2\t0.5\n\t2 3 \t\n", 3,
+     [(1, 2, 0.5), (2, 3)], ["a b", "2", "3"]),
+    ("*Vertices 2\r\n1 \"x\"\r\n*Arcs\r\n1 2 4\r\n\r\n2 1\r\n", 2,
+     [(1, 2, 4.0), (2, 1)], ["x", "2"]),
+    ("*vertices 2\n*arcs\n1 2\n*ARCS\n2 1\n", 2, [(1, 2), (2, 1)], None),
+    ("*Vertices 3\n*Arcs\n1 2\n*Arcs\n% only a comment\n*Arcs\n2 3 2\n"
+     "1 3\n", 3, [(1, 2), (2, 3, 2.0), (1, 3)], None),
+    ("*Vertices 3\n*Arcs\n1 2 1e-3\n2 3 inf\n1 3 1_0\n3 3 -2.5E2\n", 3,
+     [(1, 2, 1e-3), (2, 3, float("inf")), (1, 3, 10.0), (3, 3, -250.0)],
+     None),
+    ("*Vertices 4\n*Arcs\n1 2\n2 3 3\n3 4\n1 4 7\n", 4,
+     [(1, 2), (2, 3, 3.0), (3, 4), (1, 4, 7.0)], None),
+    ("*Vertices 5\n", 5, [], None),
+    ("*Vertices 2\n*Arcs\n", 2, [], None),
+])
+def test_grammar_corners_match_hand_built(text, n, arcs, labels):
+    assert parse_pajek(text) == Network(n, arcs, labels)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_round_trip_any_network(data):
+    n = data.draw(st.integers(0, 12))
+    arc = st.tuples(st.integers(1, n), st.integers(1, n),
+                    st.floats(allow_nan=False))
+    arcs = data.draw(st.lists(arc, max_size=30)) if n else []
+    label = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                                  blacklist_characters='"'), max_size=8)
+    labels = data.draw(st.lists(label, min_size=n, max_size=n))
+    net = Network(n, arcs, labels)
+    assert parse_pajek(write_pajek(net)) == net
+
+
+def long_section(bad_at: int, size: int) -> str:
+    rows = ["1 2 1.5"] * size
+    rows[bad_at - 1] = "1 2 1.5.0"
+    return "*Vertices 2\n*Arcs\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("text, line_no, fragment", [
+    ("*Vertices 3\n*Arcs\n1 2\n*Arcs\n2 3\n3 x\n", 6, "endpoint"),
+    ("*Vertices 3\n*Arcs\n1 2\n% note\n\n% note\n2 3 w\n", 7, "weight"),
+    ("*Vertices 3\n% note\n\n*Arcs\n% note\n1 2 3 4\n", 6, "tail head"),
+    ("*Vertices 2\n*Arcs\n1 2\n1 5\n*Edges\n", 4, "outside"),
+    ("*Vertices 2\n*Arcs\n1 2\n2 99999999999999999999\n", 4, "outside"),
+    (long_section(90_001, 100_000), 90_003, "weight"),
+])
+def test_parse_errors_name_the_first_bad_line(text, line_no, fragment):
+    with pytest.raises(PajekParseError) as err:
+        parse_pajek(text)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: ")
+    assert fragment in str(err.value)
+
+
+# --- writers render every value as format_number does ---
+
+CORPUS = [0, 7, -3, 2 ** 64 + 1, -(2 ** 70), Fraction(7, 3), Fraction(10, 5),
+          Fraction(-1, 2 ** 80), np.float64(2.5), np.float64(3.0),
+          np.float64(1e17), 0.0, -0.0, 1e16, -1e16, 1e16 - 2, 2.0 ** 53 + 1,
+          0.1, 1 / 3, -7.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300,
+          float("inf"), float("-inf"), float("nan")]
+
+
+def test_writers_render_the_corpus_like_format_number():
+    want = [format_number(v) for v in CORPUS]
+    assert write_vector(CORPUS).splitlines() == [f"*Vertices {len(CORPUS)}",
+                                                  *want]
+    net = Network(2, [(1, 2)] * len(CORPUS))
+    arc_lines = write_pajek(net, CORPUS).splitlines()[4:]
+    assert arc_lines == [f"1 2 {text}" for text in want]
+
+
+def test_writers_render_arrays_like_format_number():
+    floats = np.array([v for v in CORPUS if isinstance(v, float)])
+    want = [format_number(v) for v in floats]
+    assert write_vector(floats).splitlines()[1:] == want
+    net = Network.from_arrays(2, np.ones(len(floats)), np.full(len(floats), 2),
+                              floats)
+    assert write_pajek(net).splitlines()[4:] == [f"1 2 {t}" for t in want]
+    assert write_pajek(net, ArcWeights(floats, "log")) == write_pajek(net)
+    exact = [v for v in CORPUS if isinstance(v, (int, Fraction))]
+    assert (write_vector(ArcWeights(exact, "exact")).splitlines()[1:]
+            == [format_number(v) for v in exact])
