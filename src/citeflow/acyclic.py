@@ -129,7 +129,7 @@ def shrink_components(net: Network, part: Partition | None = None) -> Network:
                    net.weights[keep], labels)
 
 
-def preprint_transform(net: Network) -> Network:
+def preprint_transform(net: Network, part: Partition | None = None) -> Network:
     """Break cycles by giving every vertex of a cyclic component a preprint.
 
     Each member u of a cyclic strongly connected component gets a twin u'
@@ -139,7 +139,8 @@ def preprint_transform(net: Network) -> Network:
     Arcs between components are untouched.  The result is acyclic.
     """
     n, tails, heads = net.n, net.tails, net.heads
-    cls = np.array((0,) + strong_components(net).class_of, dtype=np.int64)
+    cls = np.array((0,) + (part or strong_components(net)).class_of,
+                   dtype=np.int64)
     bad = np.bincount(cls) >= 2  # a cyclic class has two members or a loop
     bad[cls[tails[tails == heads]]] = True
     cyclic = bad[cls]

@@ -253,10 +253,8 @@ def _cmd_repair(args) -> int:
     raw, net = _load(args.input)
     part = strong_components(net)
     loopless = remove_loops(net)
-    if args.strategy == "shrink":
-        fixed = shrink_components(loopless, strong_components(loopless))
-    else:
-        fixed = preprint_transform(loopless)
+    fixed = (shrink_components if args.strategy == "shrink"
+             else preprint_transform)(loopless, part)  # loops keep the SCCs
     nontrivial = sum(1 for size in part.sizes() if size > 1)
     lines = [f"strategy            {args.strategy}",
              f"vertices            {net.n} -> {fixed.n}",
@@ -400,7 +398,7 @@ def _cmd_cut(args) -> int:
 
 def _cmd_islands(args) -> int:
     raw, net, std, result, mode, repaired = _weighted(args)
-    vals = _original_arc_values(net, std, result)
+    vals = ArcWeights(result.arc.values[:net.m], result.arc.mode)
     try:
         found = islands(net, vals, min_size=args.k,
                         max_size=args.K if args.K is not None else net.n)

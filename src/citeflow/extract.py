@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acyclic import StandardizedNetwork, _levels, _stage_groups, _sweep
-from .network import ArcWeights, Network, _weak_roots
+from .network import ArcWeights, Network, _forest
 from .pajek import write_pajek
 
 _TIE = 1e-12
@@ -174,14 +174,14 @@ def arc_cut(net: Network, w: ArcWeights, threshold) -> Subnetwork:
     else:
         at = np.array([i for i, v in enumerate(w) if v >= threshold],
                       dtype=np.int64)
-    verts = np.unique(np.r_[net.tails[at], net.heads[at]]).tolist()
-    roots = _weak_roots(net.n, net.tails[at], net.heads[at])
-    groups: dict[int, list[int]] = {}
-    for v in verts:
-        groups.setdefault(roots[v], []).append(v)
-    comps = tuple(frozenset(groups[r]) for r in sorted(groups))
-    return Subnetwork(net, frozenset(verts), tuple(at.tolist()), "arc_cut",
-                      comps)
+    verts = np.unique(np.r_[net.tails[at], net.heads[at]])
+    roots = _forest(net.n, net.tails[at], net.heads[at])[1][verts]
+    order = np.argsort(roots, kind="stable")  # by smallest member, then id
+    bounds = np.flatnonzero(np.diff(roots[order])) + 1
+    comps = tuple(frozenset(c.tolist())
+                  for c in np.split(verts[order], bounds) if len(c))
+    return Subnetwork(net, frozenset(verts.tolist()), tuple(at.tolist()),
+                      "arc_cut", comps)
 
 
 # --- islands ---
@@ -227,10 +227,13 @@ def islands(net: Network, w: ArcWeights, min_size: int = 2,
     """All maximal clusters with size in [min_size, max_size] that a weight
     threshold can isolate.
 
-    Arcs are processed in decreasing weight order (equal weights together);
-    union-find merges build the cluster hierarchy and a cluster freezes into
-    an island at the last moment its size stays within max_size.  Loops are
-    ignored; vertices never touched by an arc belong to no island.
+    One O(m log m) stable sort ranks the non-loop arcs by decreasing
+    weight, O(m log n) Borůvka array passes (`_forest`) keep the at most n-1
+    of them that Kruskal would, and Python replays only those to build the
+    cluster hierarchy, equal weights merging at one level.  A cluster
+    freezes into an island at the last moment its size stays within
+    max_size.  Loops are ignored; vertices never touched by an arc belong
+    to no island.  NaN weights raise ValueError.
     """
     if len(w) != net.m:
         raise ValueError("weight vector does not match arc count")
@@ -239,16 +242,29 @@ def islands(net: Network, w: ArcWeights, min_size: int = 2,
     if min_size < 1 or max_size < min_size:
         raise ValueError("need 1 <= min_size <= max_size")
 
-    vals = list(w)
-    by_weight = sorted((i for i in range(net.m)
-                        if net.tails[i] != net.heads[i]),
-                       key=lambda i: vals[i], reverse=True)
+    vals = w.values if isinstance(w, ArcWeights) else w
+    if not (isinstance(vals, np.ndarray) and vals.dtype.kind == "f"):
+        vals = np.array(list(vals), dtype=object)  # compared as Python numbers
+    if np.any(vals != vals):
+        raise ValueError("island weights must not be NaN")
+    # an ascending stable sort of the reversed arcs, read backwards, ranks by
+    # decreasing weight with equal weights in input order
+    arcs = np.flatnonzero(net.tails != net.heads)[::-1]
+    arcs = arcs[np.argsort(vals[arcs], kind="stable")]
+    asc = vals[arcs]
+    arcs = arcs[::-1]
+    forest = _forest(net.n, net.tails[arcs], net.heads[arcs])[0]
+    # an equal-weight group's level is its first arc's value, as in the scan
+    levels = list(asc[np.searchsorted(asc, asc[::-1][forest], "right") - 1])
 
-    parent: dict[int, int] = {}
-    node_of: dict[int, int] = {}   # union-find root vertex -> dendrogram node
-    # dendrogram node: [level, size, child_a, child_b, vertex_or_None]
-    nodes: list[list] = []
-    node_parent_level: list = []
+    # dendrogram: node v <= n is vertex v's leaf, forest arc j merges the
+    # newest nodes of its ends' clusters into node n+1+j
+    n = net.n
+    level = [None] * (n + 1) + levels
+    up = [None] * len(level)  # level of the merge above each node
+    size = [1] * (n + 1)
+    kids: list[tuple] = [()] * (n + 1)
+    parent = list(range(n + 1))  # union-find: a root is the newest node
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -256,65 +272,33 @@ def islands(net: Network, w: ArcWeights, min_size: int = 2,
             x = parent[x]
         return x
 
-    def leaf(v: int) -> None:
-        if v not in parent:
-            parent[v] = v
-            node_of[v] = len(nodes)
-            nodes.append([None, 1, None, None, v])
-            node_parent_level.append(None)
-
-    pos = 0
-    while pos < len(by_weight):
-        level = vals[by_weight[pos]]
-        end = pos
-        while end < len(by_weight) and vals[by_weight[end]] == level:
-            end += 1
-        for i in by_weight[pos:end]:
-            t, h = int(net.tails[i]), int(net.heads[i])
-            leaf(t)
-            leaf(h)
-            rt, rh = find(t), find(h)
-            if rt == rh:
-                continue
-            a, b = node_of[rt], node_of[rh]
-            node_parent_level[a] = level
-            node_parent_level[b] = level
-            nodes.append([level, nodes[a][1] + nodes[b][1], a, b, None])
-            node_parent_level.append(None)
-            parent[rh] = rt
-            node_of[rt] = len(nodes) - 1
-        pos = end
+    for j, (t, h) in enumerate(zip(net.tails[arcs[forest]].tolist(),
+                                   net.heads[arcs[forest]].tolist()), n + 1):
+        a, b = find(t), find(h)  # differ: forest arcs join two clusters
+        up[a] = up[b] = level[j]
+        size.append(size[a] + size[b])
+        kids.append((a, b))
+        parent.append(j)
+        parent[a] = parent[b] = j
 
     found: list[Island] = []
-    roots = [node_of[v] for v in node_of if find(v) == v]
-    stack = list(roots)
+    stack = [x for x, p in enumerate(parent) if x == p]
     while stack:
         ni = stack.pop()
-        level, size, a, b, v = nodes[ni]
-        if v is not None or size < min_size:
+        if ni <= n or size[ni] < min_size:
             continue  # leaves and undersized clusters carry nothing below
-        up = node_parent_level[ni]
-        real = up is None or up < level
-        if real and size <= max_size:
-            members = _collect(nodes, ni)
-            found.append(Island(frozenset(members), level, up))
+        real = up[ni] is None or up[ni] < level[ni]
+        if real and size[ni] <= max_size:
+            members, below = [], [ni]
+            while below:
+                x = below.pop()
+                if x <= n:
+                    members.append(x)
+                below.extend(kids[x])  # a leaf has none
+            found.append(Island(frozenset(members), level[ni], up[ni]))
         else:
-            stack.append(a)
-            stack.append(b)
+            stack.extend(kids[ni])
 
-    found.sort(key=lambda isl: min(isl.vertices))
-    found.sort(key=lambda isl: isl.internal_min, reverse=True)
+    found.sort(key=lambda isl: (-isl.internal_min, min(isl.vertices)))
     return IslandSet(tuple(found), min_size, max_size)
 
-
-def _collect(nodes, ni) -> list[int]:
-    out = []
-    stack = [ni]
-    while stack:
-        i = stack.pop()
-        _, _, a, b, v = nodes[i]
-        if v is not None:
-            out.append(v)
-        else:
-            stack.extend((a, b))
-    return out

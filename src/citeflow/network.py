@@ -236,22 +236,44 @@ def _merged(n, tails, heads, weights, labels) -> Network:
                                            len(keep)), labels)
 
 
-def _weak_roots(n: int, tails: np.ndarray, heads: np.ndarray) -> list[int]:
-    """Smallest member of each vertex's weak component (index 0..n) in the
-    graph of the given arcs: union-find with direction ignored."""
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    for t, h in zip(tails.tolist(), heads.tolist()):
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[max(rt, rh)] = min(rt, rh)  # a root is its set's minimum
-    return [find(v) for v in range(n + 1)]
+def _forest(n: int, u: np.ndarray, v: np.ndarray):
+    """Kruskal's spanning forest of the arcs (u[i], v[i]) taken in index
+    order, direction ignored, found by Borůvka rounds: drop arcs inside one
+    component, let each component pick its incident arc of smallest index,
+    hook it to that arc's other end (a mutual pair roots at the smaller
+    label) and pointer-jump.  Returns (the forest's arc indices, ascending;
+    each vertex's smallest weak-component member, index 0..n)."""
+    m = len(u)
+    dt = np.int32 if max(n + 1, m) < 2**31 else np.int64
+    lab = np.arange(n + 1, dtype=dt)
+    live, a, b = np.arange(m, dtype=dt), lab[u], lab[v]  # ranks, end labels
+    picked = [live[:0]]
+    while True:
+        cross = a != b
+        live = live[cross]  # one array at a time bounds the peak
+        a = a[cross]
+        b = b[cross]
+        if not len(live):
+            break
+        best = np.full(n + 1, m, dtype=dt)
+        np.minimum.at(best, a, live)
+        np.minimum.at(best, b, live)
+        comp = np.flatnonzero(best < m)
+        arc = best[comp]
+        at = np.searchsorted(live, arc)
+        other = np.where(a[at] == comp, b[at], a[at])
+        hook = np.arange(n + 1, dtype=dt)
+        hook[comp] = other
+        root = (hook[other] == comp) & (comp < other)
+        hook[comp[root]] = comp[root]
+        picked.append(arc[~root])  # a mutual pair's arc once
+        while not np.array_equal(hook, nxt := hook[hook]):  # pointer-jump
+            hook = nxt
+        lab = hook[lab]
+        a = hook[a]
+        b = hook[b]
+    first, inv = np.unique(lab, return_index=True, return_inverse=True)[1:]
+    return np.sort(np.concatenate(picked)), first[inv]
 
 
 # --- generators ---

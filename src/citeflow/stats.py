@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acyclic import _levels, shrink_components, strong_components
-from .network import Network, _weak_roots
+from .network import Network, _forest
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ def network_stats(net: Network) -> NetworkStats:
     outdeg = np.bincount(net.tails, minlength=n + 1)
     isolated = int(np.count_nonzero((indeg[1:] + outdeg[1:]) == 0))
 
-    comp_sizes = _weak_component_sizes(net)
-    largest = max(comp_sizes, default=0)
-    nontrivial = sum(1 for size in comp_sizes if size >= 2)
+    comp_sizes = np.bincount(_forest(n, net.tails, net.heads)[1][1:])
+    largest = int(comp_sizes.max(initial=0))
+    nontrivial = int(np.count_nonzero(comp_sizes >= 2))
 
     part = strong_components(net)
     scc_counts = Counter(size for size in part.sizes() if size >= 2)
@@ -61,11 +61,6 @@ def network_stats(net: Network) -> NetworkStats:
         max_out_degree=int(outdeg[1:].max()) if n else 0,
         scc_size_counts=dict(sorted(scc_counts.items())),
     )
-
-
-def _weak_component_sizes(net: Network) -> list[int]:
-    roots = _weak_roots(net.n, net.tails, net.heads)[1:]
-    return list(Counter(roots).values())
 
 
 def format_stats(stats: NetworkStats) -> str:

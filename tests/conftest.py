@@ -14,6 +14,25 @@ def rand_instance(seed, n=8, density=0.3):
     return net, arcs_of(net)
 
 
+def random_multigraph(seed):
+    """Small digraph with parallels, loops and 2-cycles; weights of mixed
+    sign and magnitude so that summation order shows in the low bits."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    m = int(rng.integers(0, 40))
+    tails = rng.integers(1, n + 1, size=m)
+    heads = rng.integers(1, n + 1, size=m)
+    pick = rng.random(m)
+    heads = np.where(pick < 0.1, tails, heads)  # loops
+    back = (pick >= 0.1) & (pick < 0.2)  # reverse an earlier arc
+    earlier = rng.integers(0, np.arange(m) + 1)
+    tails, heads = (np.where(back, heads[earlier], tails),
+                    np.where(back, tails[earlier], heads))
+    weights = rng.standard_normal(m) * 10.0 ** rng.integers(-3, 17, size=m)
+    labels = [f"v{v}" for v in range(1, n + 1)]
+    return Network.from_arrays(n, tails, heads, weights, labels)
+
+
 @pytest.fixture
 def diamond():
     # a cited by b and c, both cited by d

@@ -249,3 +249,85 @@ def shrink_reference(n, arcs, class_of, labels):
     mapped = [(class_of[u - 1], class_of[v - 1], w) for u, v, w in arcs
               if class_of[u - 1] != class_of[v - 1]]
     return k, merge_parallel(mapped), names
+
+
+def islands_reference(n, tails, heads, vals, min_size, max_size):
+    """[(vertices, internal_min, external_max)] of the island hierarchy,
+    built by a dict union-find over every non-loop arc in stable
+    decreasing weight order, equal weights merged as one level."""
+    m = len(tails)
+    by_weight = sorted((i for i in range(m) if tails[i] != heads[i]),
+                       key=lambda i: vals[i], reverse=True)
+
+    parent = {}
+    node_of = {}   # union-find root vertex -> dendrogram node
+    # dendrogram node: [level, size, child_a, child_b, vertex_or_None]
+    nodes = []
+    node_parent_level = []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def leaf(v):
+        if v not in parent:
+            parent[v] = v
+            node_of[v] = len(nodes)
+            nodes.append([None, 1, None, None, v])
+            node_parent_level.append(None)
+
+    pos = 0
+    while pos < len(by_weight):
+        level = vals[by_weight[pos]]
+        end = pos
+        while end < len(by_weight) and vals[by_weight[end]] == level:
+            end += 1
+        for i in by_weight[pos:end]:
+            t, h = int(tails[i]), int(heads[i])
+            leaf(t)
+            leaf(h)
+            rt, rh = find(t), find(h)
+            if rt == rh:
+                continue
+            a, b = node_of[rt], node_of[rh]
+            node_parent_level[a] = level
+            node_parent_level[b] = level
+            nodes.append([level, nodes[a][1] + nodes[b][1], a, b, None])
+            node_parent_level.append(None)
+            parent[rh] = rt
+            node_of[rt] = len(nodes) - 1
+        pos = end
+
+    def collect(ni):
+        out = []
+        stack = [ni]
+        while stack:
+            i = stack.pop()
+            _, _, a, b, v = nodes[i]
+            if v is not None:
+                out.append(v)
+            else:
+                stack.extend((a, b))
+        return out
+
+    found = []
+    roots = [node_of[v] for v in node_of if find(v) == v]
+    stack = list(roots)
+    while stack:
+        ni = stack.pop()
+        level, size, a, b, v = nodes[ni]
+        if v is not None or size < min_size:
+            continue  # leaves and undersized clusters carry nothing below
+        up = node_parent_level[ni]
+        real = up is None or up < level
+        if real and size <= max_size:
+            found.append((frozenset(collect(ni)), level, up))
+        else:
+            stack.append(a)
+            stack.append(b)
+
+    found.sort(key=lambda isl: min(isl[0]))
+    found.sort(key=lambda isl: isl[1], reverse=True)
+    return found

@@ -7,7 +7,7 @@ from citeflow import (CycleError, Network, complete_acyclic, depths,
                       strong_components, topological_order)
 
 import oracles
-from conftest import arcs_of, rand_instance
+from conftest import arcs_of, rand_instance, random_multigraph
 
 
 def planted_cycles(seed, n=12):
@@ -44,6 +44,16 @@ def test_strong_components_all_singletons_on_dag():
     part = strong_components(net)
     assert part.class_count == 15
     assert part.class_of == tuple(range(1, 16))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_loops_do_not_change_strong_components(seed):
+    net = random_multigraph(seed)
+    part = strong_components(net)
+    loopless = remove_loops(net)
+    assert strong_components(loopless) == part
+    assert preprint_transform(loopless, part) == preprint_transform(loopless)
+    assert shrink_components(loopless, part) == shrink_components(loopless)
 
 
 # --- repairs ---

@@ -179,6 +179,25 @@ def test_repair_command(tmp_path, capsys):
     assert "acyclic             True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("strategy", ["shrink", "preprint"])
+def test_repair_finds_strong_components_once(tmp_path, monkeypatch,
+                                              strategy):
+    found = citeflow.acyclic.strong_components
+    calls = []
+
+    def counted(net):
+        calls.append(net.n)
+        return found(net)
+
+    monkeypatch.setattr(citeflow.acyclic, "strong_components", counted)
+    monkeypatch.setattr(citeflow.cli, "strong_components", counted)
+    src = tmp_path / "loop.net"
+    src.write_text(TWO_CYCLE + "3 3\n")
+    assert run(["repair", src, "--repair", strategy,
+                "--out", tmp_path / "out"]) == 0
+    assert calls == [3]
+
+
 def test_cpm_and_cut_outputs(tmp_path):
     path = tmp_path / "branch.net"
     path.write_text(write_pajek(Network(

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from citeflow import (ArcWeights, Network, arc_cut, cpm_path, islands,
                       standardize, write_subnetwork)
 
 import oracles
-from conftest import arcs_of, rand_instance
+from conftest import arcs_of, rand_instance, random_multigraph
 
 
 def spc_setup(net):
@@ -274,6 +278,64 @@ def test_islands_match_brute_force(seed, bounds):
     expect = oracles.brute_islands(net.n, arcs_of(net), w, k,
                                    min(kmax, net.n))
     assert got == expect
+
+
+def island_case(seed, kind):
+    """A `random_multigraph` (loops, parallel arcs, 2-cycles, untouched
+    vertices) with weights of few distinct values (heavy ties) in one of
+    the representations `islands` accepts."""
+    net = random_multigraph(seed)
+    level = np.random.default_rng(seed).integers(0, 4, size=net.m)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf
+        weights = {
+            "float": ArcWeights(level * 0.5, "float"),
+            "log": ArcWeights(np.log(level), "log"),
+            "big": [2**64 + 3 * int(x) for x in level],  # above int64
+            "fraction": ArcWeights([Fraction(int(x), 3) for x in level],
+                                   "exact"),
+            # equal signed zeros: a level is its equal run's first value
+            "zeros": [float(x) or (-0.0 if i % 2 else 0.0)
+                      for i, x in enumerate(level)],
+        }
+    return net, weights[kind]
+
+
+@pytest.mark.parametrize("kind", ["float", "log", "big", "fraction", "zeros"])
+@pytest.mark.parametrize("seed", range(40))
+def test_islands_match_the_union_find_scan(seed, kind):
+    net, w = island_case(seed, kind)
+    for k, kmax in ((1, net.n), (2, 3), (2, max(2, net.n // 2)), (3, 6)):
+        got = [(isl.vertices, isl.internal_min, isl.external_max) for isl in
+               islands(net, w, min_size=k, max_size=kmax).islands]
+        want = oracles.islands_reference(net.n, net.tails, net.heads,
+                                         list(w), k, kmax)
+        assert got == want
+        assert repr(got) == repr(want)  # same types and signed zeros
+    kmax = max(2, net.n)
+    got = {isl.vertices for isl in islands(net, w, 2, kmax).islands}
+    assert got == oracles.brute_islands(net.n, arcs_of(net), list(w), 2, kmax)
+
+
+@pytest.mark.parametrize("w", [ArcWeights([1.0, math.nan], "float"),
+                               ArcWeights([math.nan, -math.inf], "log"),
+                               [2.0, math.nan]])
+def test_islands_reject_nan_weights(chain3, w):
+    with pytest.raises(ValueError, match="NaN"):
+        islands(chain3, w)
+
+
+def test_islands_memory_on_a_million_arcs():
+    net = random_dag(2000, 0.5, 2)
+    w = ArcWeights(spc(standardize(net), "log").arc.values[:net.m], "log")
+    tracemalloc.start()
+    try:
+        found = islands(net, w, min_size=2, max_size=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.islands
+    budget = 10 * 8 * net.m
+    assert peak < budget, f"peak {peak / 1e6:.0f}MB over {budget / 1e6:.0f}MB"
 
 
 def test_islands_sorted_by_strength_then_vertex():

@@ -3,9 +3,10 @@ import pytest
 
 from citeflow import (ArcWeights, Network, complete_acyclic, random_dag,
                       shrink_components, simplify, strong_components)
+from citeflow.network import _forest
 
 import oracles
-from conftest import arcs_of
+from conftest import arcs_of, random_multigraph
 
 
 def test_basic_construction(diamond):
@@ -83,25 +84,6 @@ def test_simplify_keeps_loops_and_merges_parallel_loops():
     assert merged.weights.tolist() == [2.0]
 
 
-def random_multigraph(seed):
-    """Small digraph with parallels, loops and 2-cycles; weights of mixed
-    sign and magnitude so that summation order shows in the low bits."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 12))
-    m = int(rng.integers(0, 40))
-    tails = rng.integers(1, n + 1, size=m)
-    heads = rng.integers(1, n + 1, size=m)
-    pick = rng.random(m)
-    heads = np.where(pick < 0.1, tails, heads)  # loops
-    back = (pick >= 0.1) & (pick < 0.2)  # reverse an earlier arc
-    earlier = rng.integers(0, np.arange(m) + 1)
-    tails, heads = (np.where(back, heads[earlier], tails),
-                    np.where(back, tails[earlier], heads))
-    weights = rng.standard_normal(m) * 10.0 ** rng.integers(-3, 17, size=m)
-    labels = [f"v{v}" for v in range(1, n + 1)]
-    return Network.from_arrays(n, tails, heads, weights, labels)
-
-
 def weighted_arcs(net):
     return list(zip(net.tails.tolist(), net.heads.tolist(),
                     net.weights.tolist()))
@@ -128,6 +110,33 @@ def test_shrink_matches_dict_merge_bit_for_bit(seed):
     assert same_bits(shrink_components(net, part),
                      *oracles.shrink_reference(net.n, weighted_arcs(net),
                                                part.class_of, net.labels))
+
+
+def sparse_multigraph(seed, n=400, m=500):
+    """Many components and long hook chains for the Borůvka rounds."""
+    rng = np.random.default_rng(seed)
+    return Network.from_arrays(n, rng.integers(1, n + 1, size=m),
+                               rng.integers(1, n + 1, size=m))
+
+
+@pytest.mark.parametrize("net", [random_multigraph(s) for s in range(40)]
+                         + [sparse_multigraph(s) for s in range(3)]
+                         + [Network(0), Network(3)])
+def test_forest_is_kruskals_and_labels_weak_components(net):
+    nx = pytest.importorskip("networkx")
+    forest, label = _forest(net.n, net.tails, net.heads)
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(range(1, net.n + 1))
+    for i, (t, h) in enumerate(arcs_of(net)):
+        g.add_edge(t, h, key=i, weight=i)  # the arc index is its rank
+    kept = nx.minimum_spanning_edges(g.to_undirected(), algorithm="kruskal",
+                                     keys=True, data=False)
+    assert forest.tolist() == sorted(key for _, _, key in kept)
+    want = [0] * (net.n + 1)
+    for comp in nx.weakly_connected_components(g):
+        for v in comp:
+            want[v] = min(comp)
+    assert label.tolist() == want
 
 
 def test_merged_weights_add_in_input_order():
