@@ -196,8 +196,22 @@ def _levels(net: Network, skip_arc: int | None = None, reverse: bool = False):
     from any source to v.  With `reverse` the arcs are walked backwards.
     `skip_arc` treats one arc index as absent (the feedback arc).  Returns
     (level array indexed 1..n with -1 for vertices stuck on cycles, vertex
-    order as one flat array, acyclic flag, witness vertex or None).
+    order as one flat array, acyclic flag, witness vertex or None), computed
+    once per (skip_arc, reverse) and kept on `net`; the arrays are read-only.
     """
+    return net._memo(_level_sweep, skip_arc, reverse)
+
+
+def _dag_levels(net: Network, skip_arc: int | None = None,
+                reverse: bool = False):
+    """(level, order) of `_levels`; raises CycleError on a cycle."""
+    level, order, ok, witness = _levels(net, skip_arc, reverse)
+    if not ok:
+        raise CycleError(witness)
+    return level, order
+
+
+def _level_sweep(net: Network, skip_arc, reverse):
     n = net.n
     heads = net.tails if reverse else net.heads
     ptr, arcs = net._adjacency(reverse)
@@ -207,17 +221,12 @@ def _levels(net: Network, skip_arc: int | None = None, reverse: bool = False):
     level = np.full(n + 1, -1, dtype=np.int64)
     frontier = np.flatnonzero(indeg[1:] == 0) + 1
     parts: list[np.ndarray] = []
-    lev = 0
-    done = 0
+    lev = done = 0
     while frontier.size:
         level[frontier] = lev
         parts.append(frontier)
         done += frontier.size
-        # the frontier's CSR runs, concatenated: run starts repeated, plus
-        # each arc's offset within the concatenation
-        lo, count = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
-        at = np.repeat(lo - np.cumsum(count) + count, count)
-        idx = arcs[at + np.arange(len(at))]
+        idx = _gather(ptr, arcs, frontier)
         if skip_arc is not None:
             idx = idx[idx != skip_arc]
         cand, hits = np.unique(heads[idx], return_counts=True)
@@ -225,11 +234,20 @@ def _levels(net: Network, skip_arc: int | None = None, reverse: bool = False):
         frontier = cand[indeg[cand] == 0]
         lev += 1
     order = (np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
+    level.flags.writeable = order.flags.writeable = False
     if done < n:
         remaining = {v for v in range(1, n + 1) if level[v] < 0}
         witness = _cycle_witness_masked(net, remaining, skip_arc, reverse)
         return level, order, False, witness
     return level, order, True, None
+
+
+def _gather(ptr: np.ndarray, arcs: np.ndarray, verts: np.ndarray):
+    """The CSR runs (ptr, arcs) of distinct vertices `verts`, concatenated:
+    run starts repeated, plus each arc's offset within the concatenation."""
+    lo, count = ptr[verts], ptr[verts + 1] - ptr[verts]
+    at = np.repeat(lo - np.cumsum(count) + count, count)
+    return arcs[at + np.arange(len(at))]
 
 
 def _cycle_witness_masked(net, remaining, skip_arc, reverse) -> int:
@@ -254,51 +272,58 @@ def _cycle_witness_masked(net, remaining, skip_arc, reverse) -> int:
     return v
 
 
-def _stage_groups(near: np.ndarray, level: np.ndarray, arcs: np.ndarray,
-                  cap: int | None = None) -> list:
-    """Arc indices `arcs` split by the stage (level) of their `near` endpoint.
+def _stage_groups(net: Network, by_tail: bool, count: int,
+                  skip_arc: int | None):
+    """Stage schedule of arcs 0..count-1 by the forward level (`skip_arc`
+    left out) of their tails, or heads: one np.lexsort by (stage, near
+    endpoint, arc).  Built once per key as net._memo(_stage_groups, ...).
 
-    One (idx, ends, seg) per stage, lowest stage first: the stage's arcs
-    sorted by near endpoint (ties keep their order in `arcs`), the distinct
-    near endpoints, and where each endpoint's run starts in idx.  With `cap`
-    a stage is cut into slices of at most cap arcs, so an endpoint can own a
-    run in two slices.
+    Read-only (idx, stage, runs, ends): the arcs in that order (int32 when
+    they fit: 4 bytes per arc), the bounds in idx of each stage that has
+    arcs (lowest first), the offsets in idx where a near endpoint's arcs
+    start (stage starts among them) and that endpoint for each run.
     """
-    if not len(arcs):
-        return []
-    ends = near[arcs]
-    order = np.lexsort((ends, level[ends]))
-    idx, ends = arcs[order], ends[order]
-    key = level[ends]
-    bounds = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])
-    run = np.r_[True, ends[1:] != ends[:-1]]  # where a near endpoint starts
-    step = cap or len(idx)
-    groups = []
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        for lo in range(a, b, step):
-            hi = min(b, lo + step)
-            run[lo] = True
-            seg = np.flatnonzero(run[lo:hi])
-            groups.append((idx[lo:hi], ends[lo:hi][seg], seg))
-    return groups
+    level = _dag_levels(net, skip_arc)[0]
+    ends = (net.tails if by_tail else net.heads)[:count]
+    dt = np.uint16 if net.n < 2**16 else np.int64  # uint16 sorts by radix
+    idx = np.lexsort((ends.astype(dt), level[ends].astype(dt))).astype(
+        np.int32 if count < 2**31 else np.int64)
+    ends = ends[idx]
+    stage = np.r_[np.flatnonzero(np.diff(level[ends], prepend=-1)), count]
+    runs = np.flatnonzero(np.diff(ends, prepend=-1))
+    sched = idx, stage, runs, ends[runs]
+    for arr in sched:
+        arr.flags.writeable = False
+    return sched
 
 
-def _sweep(c: np.ndarray, groups, far: np.ndarray, plus, times=None,
-           factor=None) -> np.ndarray:
-    """The one DAG recurrence, run in place over `_stage_groups` output.
+def _sweep(c: np.ndarray, sched, far: np.ndarray, plus, times=None,
+           factor=None, descending: bool = False,
+           cap: int | None = None) -> np.ndarray:
+    """The one DAG recurrence, run in place over a `_stage_groups` schedule.
 
-    Group by group, every near endpoint v takes
-    c[v] = c[v] ⊕ (⊕ of c[far[a]] ⊗ factor over its arcs a), with ⊕ the
-    ufunc `plus` and ⊗ the ufunc `times`; `factor` is None (no ⊗ at all),
-    one value for every arc, or an array indexed by arc.  Rows of a 2-D `c`
-    combine elementwise.
+    Stage by stage (highest first when `descending`), every near endpoint
+    v takes c[v] = c[v] ⊕ (⊕ of c[far[a]] ⊗ factor over its arcs a), with ⊕
+    the ufunc `plus` and ⊗ the ufunc `times`; `factor` is None (no ⊗), one
+    value, or an array indexed by arc.  Rows of a 2-D `c` combine
+    elementwise.  With `cap`, stages are cut into slices of at most cap arcs.
     """
-    for idx, ends, seg in groups:
-        vals = c[far[idx]]
+    idx, stage, runs, ends = sched
+    lo, hi = stage[:-1], stage[1:]
+    if cap:  # a slice also starts at every cap-th arc of a stage
+        lo = np.concatenate([lo[:0], *map(np.arange, lo.tolist(), hi.tolist(),
+                                          [cap] * len(lo))])
+        hi = np.minimum(stage[np.searchsorted(stage, lo, "right")], lo + cap)
+    bounds = np.stack([lo, hi, np.searchsorted(runs, lo, "right") - 1,
+                       np.searchsorted(runs, hi)], axis=1).tolist()
+    for a, b, j, k in (reversed(bounds) if descending else bounds):
+        arcs, e, seg = idx[a:b], ends[j:k], runs[j:k] - a
+        seg[0] = 0  # a slice can start inside run j
+        vals = c[far[arcs]]
         if factor is not None:
-            vals = times(vals, factor[idx] if isinstance(factor, np.ndarray)
+            vals = times(vals, factor[arcs] if isinstance(factor, np.ndarray)
                          else factor)
-        c[ends] = plus(c[ends], plus.reduceat(vals, seg))
+        c[e] = plus(c[e], plus.reduceat(vals, seg))
     return c
 
 
@@ -343,9 +368,7 @@ def standardize(net: Network) -> StandardizedNetwork:
     close the flow with (t, s).  Requires an acyclic, loop-free input; an
     isolated vertex counts as both minimal and maximal.
     """
-    level, _, ok, witness = _levels(net)
-    if not ok:
-        raise CycleError(witness)
+    _dag_levels(net)
     n = net.n
     s, t = n + 1, n + 2
     mins = np.flatnonzero(np.bincount(net.heads, minlength=n + 1)[1:] == 0) + 1
@@ -376,10 +399,7 @@ class DepthMap:
 
 
 def depths(std: StandardizedNetwork) -> DepthMap:
-    fwd, _, ok, witness = _levels(std.base, skip_arc=std.feedback_arc)
-    if not ok:  # pragma: no cover - standardize() guarantees acyclicity
-        raise CycleError(witness)
-    bwd, _, _, _ = _levels(std.base, skip_arc=std.feedback_arc, reverse=True)
-    return DepthMap(tuple(int(x) for x in fwd[1:]),
-                    tuple(int(x) for x in bwd[1:]),
+    fwd, bwd = (_dag_levels(std.base, std.feedback_arc, back)[0]
+                for back in (False, True))
+    return DepthMap(tuple(fwd[1:].tolist()), tuple(bwd[1:].tolist()),
                     int(fwd[std.t]))

@@ -15,22 +15,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acyclic import StandardizedNetwork, _levels, _stage_groups, _sweep
+from .acyclic import StandardizedNetwork, _gather, _stage_groups, _sweep
 from .network import ArcWeights, Network, _forest
 from .pajek import write_pajek
 
 _TIE = 1e-12
+_CHUNK = 1 << 16  # arcs per pass over path totals: bounds exact-mode memory
 
 
 def _tied(a, b, mode: str):
-    """a == b for exact weights, |a - b| <= _TIE * max(|a|, |b|) for floats
-    and |a - b| <= _TIE * max(1, |a|, |b|) for logs; elementwise when `a`
-    is an array."""
+    """a == b, or for floats |a - b| <= _TIE * max(|a|, |b|) and for logs
+    |a - b| <= _TIE * max(1, |a|, |b|) (so ln 0 ties with ln 0 as 0 does
+    with 0); elementwise when `a` is an array."""
     if mode == "exact":
         return a == b
-    gap = abs(a - b)
+    with np.errstate(invalid="ignore"):  # inf - inf: equal, caught by ==
+        gap = abs(a - b)
     floor = _TIE if mode == "log" else 0.0
-    return (gap <= floor) | (gap <= _TIE * abs(a)) | (gap <= _TIE * abs(b))
+    return ((a == b) | (gap <= floor) | (gap <= _TIE * abs(a))
+            | (gap <= _TIE * abs(b)))
 
 
 @dataclass(frozen=True)
@@ -95,33 +98,31 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
     weight out-arcs (all of them when tied), so the result can branch; with
     `single` ties break toward the smallest head id and exactly one chain
     comes back.  The source, sink and their auxiliary arcs are stripped from
-    the report.
+    the report.  Each round gathers the out-arcs of the newly reached
+    vertices from the adjacency index: O(m) array work in all.
     """
     vals, mode = _aligned(std, w)
-    vals = vals.tolist()
-    base, fb = std.base, std.feedback_arc
-    visited = {std.s}
-    chosen: set[int] = set()
-    frontier = [std.s]
-    while frontier:
-        nxt: list[int] = []
-        for v in sorted(frontier):
-            out = [ai for ai in base.out_arcs(v).tolist() if ai != fb]
-            if not out:
-                continue
-            best = max(vals[ai] for ai in out)
-            take = [ai for ai in out if _tied(vals[ai], best, mode)]
-            if single:
-                take = [min(take, key=lambda ai: (int(base.heads[ai]), ai))]
-            for ai in take:
-                chosen.add(ai)
-                head = int(base.heads[ai])
-                if head not in visited:
-                    visited.add(head)
-                    nxt.append(head)
-        frontier = nxt
-    keep = tuple(sorted(ai for ai in chosen if ai < std.original_m))
-    verts = frozenset(visited - {std.s, std.t})
+    base = std.base
+    ptr, out = base._adjacency()
+    seen = np.arange(base.n + 1) == std.s
+    chosen = [out[:0]]
+    frontier = np.array([std.s])
+    while frontier.size:
+        arcs = _gather(ptr, out, frontier)
+        tails, v = base.tails[arcs], vals[arcs]
+        runs = np.flatnonzero(np.diff(tails, prepend=-1))  # one per tail
+        best = np.repeat(np.maximum.reduceat(v, runs),  # per arc
+                         np.diff(runs, append=len(arcs)))
+        tied = np.flatnonzero(_tied(v, best, mode))
+        if single:  # each run is by (head, arc): its first tie is smallest
+            tied = tied[np.diff(tails[tied], prepend=-1) != 0]
+        chosen.append(arcs[tied])
+        heads = np.unique(base.heads[arcs[tied]])
+        frontier = heads[~seen[heads]]
+        seen[frontier] = True
+    keep = np.sort(np.concatenate(chosen))  # (t, s) included, cut below
+    keep = tuple(keep[keep < std.original_m].tolist())
+    verts = frozenset(np.flatnonzero(seen[:std.s]).tolist())  # 0 is unseen
     return Subnetwork(base, verts, keep, "main_path")
 
 
@@ -138,26 +139,22 @@ def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
     vals, mode = _aligned(std, w)
     times = np.logaddexp if mode == "log" else np.add
     base, fb = std.base, std.feedback_arc
-    level, _, ok, _ = _levels(base, skip_arc=fb)
-    assert ok  # standardized networks are acyclic without the feedback arc
-    arcs = np.flatnonzero(np.arange(base.m) != fb)
     dist = []  # best total s -> v, then best total v -> t
-    for near, far, end, backward in ((base.heads, base.tails, std.s, False),
-                                     (base.tails, base.heads, std.t, True)):
+    for far, end, backward in ((base.tails, std.s, False),
+                               (base.heads, std.t, True)):
         c = np.full(base.n + 1, -np.inf, dtype=vals.dtype)
         c[end] = -np.inf if mode == "log" else 0
-        groups = _stage_groups(near, level, arcs)
-        dist.append(_sweep(c, groups[::-1] if backward else groups, far,
-                           np.maximum, times, vals))
+        sched = base._memo(_stage_groups, backward, fb, fb)
+        dist.append(_sweep(c, sched, far, np.maximum, times, vals,
+                           descending=backward))
     fdist, gdist = dist
     optimum = fdist[std.t]
-    chosen = []
-    for idx, _, _ in groups:  # one stage at a time bounds the exact totals
-        total = times(times(fdist[base.tails[idx]], vals[idx]),
-                      gdist[base.heads[idx]])
-        chosen.append(idx[_tied(total, optimum, mode)])
-    keep = np.sort(np.concatenate([arcs[:0], *chosen]))
-    keep = tuple(keep[keep < std.original_m].tolist())
+    chosen, m = [], std.original_m
+    for arcs in np.split(np.arange(m), range(_CHUNK, m, _CHUNK)):
+        total = times(times(fdist[base.tails[arcs]], vals[arcs]),
+                      gdist[base.heads[arcs]])
+        chosen.append(arcs[_tied(total, optimum, mode)])
+    keep = tuple(np.concatenate(chosen).tolist())
     on_path = _tied(times(fdist, gdist), optimum, mode)
     verts = frozenset((np.flatnonzero(on_path[1:]) + 1).tolist())
     return Subnetwork(base, verts - {std.s, std.t}, keep, "cpm_path")

@@ -2,10 +2,11 @@
 
 Vertices are 1-based contiguous ids with string labels.  Arcs are stored as
 parallel numpy arrays (tail, head, weight).  The CSR-style adjacency indices
-of each direction are built on first use, so a network that is only
-transformed or written never pays for them.  An arc (u, v) points from
-the cited (earlier) work u to the citing (later) work v, so arc direction
-follows the flow of knowledge forward in time.
+of each direction and the stage schedules derived from them are built on
+first use and kept, so a network that is only transformed or written never
+pays for them.  An arc (u, v) points from the cited (earlier) work u to the
+citing (later) work v, so arc direction follows the flow of knowledge
+forward in time.
 
 Parallel arcs and loops are representable; `simplify` merges parallels.
 Networks are immutable after construction.
@@ -67,7 +68,7 @@ class ArcWeights:
 class Network:
     """Immutable directed multigraph with labels and arc weights."""
 
-    __slots__ = ("n", "labels", "tails", "heads", "weights", "_out", "_in")
+    __slots__ = ("n", "labels", "tails", "heads", "weights", "_memos")
 
     def __init__(self, n: int, arcs: Iterable[tuple] = (),
                  labels: Sequence[str] | None = None):
@@ -125,7 +126,7 @@ class Network:
         self.weights = weights
         for arr in (tails, heads, weights):
             arr.flags.writeable = False
-        self._out = self._in = None
+        self._memos = {}
 
     # --- basic accessors ---
 
@@ -152,14 +153,17 @@ class Network:
     # Arc indices within each list are ordered by (tail, head, input position),
     # so iteration order is deterministic for equal inputs.
 
+    def _memo(self, build, *args):
+        """build(self, *args), computed once per arguments and kept."""
+        key = (build.__name__, *args)
+        if key not in self._memos:
+            self._memos[key] = build(self, *args)
+        return self._memos[key]
+
     def _adjacency(self, reverse: bool = False):
         """(ptr, idx): arc indices grouped by tail, or by head with
         `reverse`; built on first use."""
-        if reverse:
-            self._in = self._in or _csr(self.n, self.heads, self.tails)
-            return self._in
-        self._out = self._out or _csr(self.n, self.tails, self.heads)
-        return self._out
+        return self._memo(_csr, reverse)
 
     def out_arcs(self, v: int) -> np.ndarray:
         ptr, idx = self._adjacency()
@@ -202,14 +206,15 @@ class Network:
         return f"Network(n={self.n}, m={self.m})"
 
 
-def _csr(n: int, keys: np.ndarray, minor: np.ndarray):
-    """Arc indices grouped by `keys` (1..n), ties by `minor` then position."""
-    order = np.lexsort((minor, keys)).astype(np.int64)
-    counts = np.bincount(keys, minlength=n + 1)
-    ptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    ptr.flags.writeable = False
-    order.flags.writeable = False
+def _csr(net: Network, reverse: bool):
+    """Arc indices grouped by tail (head with `reverse`), ties by the other
+    endpoint, then position."""
+    keys, minor = (net.heads, net.tails) if reverse else (net.tails, net.heads)
+    dt = np.uint16 if net.n < 2**16 else np.int64  # uint16 sorts by radix
+    order = np.lexsort((minor.astype(dt), keys.astype(dt))).astype(
+        np.int32 if len(keys) < 2**31 else np.int64)
+    ptr = np.r_[0, np.cumsum(np.bincount(keys, minlength=net.n + 1))]
+    ptr.flags.writeable = order.flags.writeable = False
     return ptr, order
 
 

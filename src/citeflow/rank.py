@@ -28,8 +28,8 @@ class HitsScores:
     def top(self, count: int, kind: str = "authority") -> list[tuple[int, float]]:
         """Best `count` vertices as (id, score), score-descending, id tiebreak."""
         vec = self.authority if kind == "authority" else self.hub
-        order = sorted(range(len(vec)), key=lambda i: (-vec[i], i))
-        return [(i + 1, float(vec[i])) for i in order[:count]]
+        order = np.argsort(-vec, kind="stable")[:count]  # ties by id
+        return [(i + 1, float(vec[i])) for i in order.tolist()]
 
 
 def hits(net: Network, tolerance: float = 1e-12,

@@ -45,13 +45,9 @@ def network_stats(net: Network) -> NetworkStats:
     scc_counts = Counter(size for size in part.sizes() if size >= 2)
 
     level, _, ok, _ = _levels(net)
-    if ok:
-        depth = int(level.max()) + 1 if n else 0
-    else:
-        cond = shrink_components(net, part)
-        clevel, _, cok, _ = _levels(cond)
-        assert cok  # condensation of any digraph is acyclic
-        depth = int(clevel.max()) + 1
+    if not ok:  # the condensation of any digraph is acyclic
+        level = _levels(shrink_components(net, part))[0]
+    depth = int(level.max()) + 1 if n else 0
 
     return NetworkStats(
         n=n, m=m, loops=loops, isolated=isolated,

@@ -30,8 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .acyclic import (CycleError, StandardizedNetwork, _levels,
-                      _stage_groups, _sweep)
+from .acyclic import StandardizedNetwork, _dag_levels, _stage_groups, _sweep
 from .network import ArcWeights, Mode, MODES, Network
 
 _WORDS = 64  # most uint64 words per closure bitset: 4096 sources per block
@@ -88,24 +87,18 @@ def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
     if mode not in MODES:
         raise ValueError(f"unknown numeric mode: {mode!r}")
     base, s, t, m = std.base, std.s, std.t, std.original_m
-    level, _, ok, witness = _levels(base, skip_arc=std.feedback_arc)
-    if not ok:
-        raise CycleError(witness)
     dtype, zero, one, plus, times = _RINGS[mode]
     factor = None if alpha == 1 else {
         "float": alpha, "exact": Fraction(alpha), "log": math.log(alpha)}[mode]
-    minimal = np.zeros(t + 1, dtype=bool)
+    minimal, maximal, every = np.zeros((3, t + 1), dtype=bool)
     minimal[base.heads[base.tails == s]] = True
-    maximal = np.zeros(t + 1, dtype=bool)
     maximal[base.tails[base.heads == t]] = True
-    every = np.zeros(t + 1, dtype=bool)
     every[1:s] = True
 
-    def sweep(near, far, seeded, backward):
+    def sweep(far, seeded, backward):
         c = np.where(seeded, one, zero).astype(dtype)
-        groups = _stage_groups(near, level, np.arange(m))
-        return _sweep(c, groups[::-1] if backward else groups, far, plus,
-                      times, factor)
+        sched = base._memo(_stage_groups, backward, m, std.feedback_arc)
+        return _sweep(c, sched, far, plus, times, factor, descending=backward)
 
     def linked(c, seeded, standard):
         order = np.r_[np.flatnonzero(standard),
@@ -115,8 +108,8 @@ def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
     to_s = every if seed_fwd else minimal
     to_t = every if seed_bwd else maximal
     with np.errstate(over="ignore", invalid="ignore"):
-        fwd = sweep(base.heads, base.tails, to_s, backward=False)
-        bwd = sweep(base.tails, base.heads, to_t, backward=True)
+        fwd = sweep(base.tails, to_s, backward=False)
+        bwd = sweep(base.heads, to_t, backward=True)
         fwd[s], fwd[t] = one, linked(fwd, to_t, maximal)
         bwd[s], bwd[t] = linked(bwd, to_s, minimal), one
         arc = times(fwd[base.tails], bwd[base.heads])
@@ -169,39 +162,30 @@ def spnp(std: StandardizedNetwork, mode: Mode = "float") -> WeightResult:
 
 # --- closure methods ---
 
-def _closure_counts(net: Network, level: np.ndarray,
-                    backward: bool) -> np.ndarray:
-    """Size of the reachability closure of every vertex, itself included.
-
-    Word-parallel over blocks of up to 64*_WORDS sources, one bit each, in
-    (n+1)*_WORDS words: stage by stage, every vertex ORs in the bitsets of its
-    far endpoints.  Descendants sweep the stages of the tails from high to
-    low, ancestors (`backward`) those of the heads from low to high.
+def _closures(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """(ancestor, descendant) closure sizes indexed 0..n, the vertex itself
+    included; rejects cycles.  Word-parallel over blocks of up to 64*_WORDS
+    sources, one bit each, in (n+1)*_WORDS words: stage by stage, every
+    vertex ORs in the bitsets of its far endpoints.  Ancestors sweep the
+    stages of the heads from low to high, descendants those of the tails
+    from high to low.
     """
     n = net.n
-    near, far = (net.heads, net.tails) if backward else (net.tails, net.heads)
-    # slices of at most n+1 arcs keep each gather no larger than the bitsets
-    groups = _stage_groups(near, level, np.arange(net.m), cap=n + 1)
-    if not backward:
-        groups.reverse()
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for first in range(1, n + 1, 64 * _WORDS):
-        src = np.arange(first, min(first + 64 * _WORDS, n + 1))
-        bits = np.zeros((n + 1, -(-len(src) // 64)), dtype=np.uint64)
-        bit = src - first
-        bits[src, bit >> 6] = np.uint64(1) << (bit & 63).astype(np.uint64)
-        _sweep(bits, groups, far, np.bitwise_or)
-        counts += np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
-    return counts
-
-
-def _closures(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """(ancestor, descendant) closure sizes indexed 0..n; rejects cycles."""
-    level, _, ok, witness = _levels(net)
-    if not ok:
-        raise CycleError(witness)
-    return (_closure_counts(net, level, backward=True),
-            _closure_counts(net, level, backward=False))
+    sizes = []
+    for by_tail, far in ((False, net.tails), (True, net.heads)):
+        sched = net._memo(_stage_groups, by_tail, net.m, None)
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for first in range(1, n + 1, 64 * _WORDS):
+            src = np.arange(first, min(first + 64 * _WORDS, n + 1))
+            bits = np.zeros((n + 1, -(-len(src) // 64)), dtype=np.uint64)
+            bit = src - first
+            bits[src, bit >> 6] = np.uint64(1) << (bit & 63).astype(np.uint64)
+            # slices of at most n+1 arcs keep each gather within the bitsets
+            _sweep(bits, sched, far, np.bitwise_or, descending=by_tail,
+                   cap=n + 1)
+            counts += np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+        sizes.append(counts)
+    return tuple(sizes)
 
 
 def nppc(net: Network) -> WeightResult:
@@ -256,9 +240,7 @@ class PathPolynomials:
 
 def path_polynomials(std: StandardizedNetwork) -> PathPolynomials:
     base, fb = std.base, std.feedback_arc
-    level, order, ok, witness = _levels(base, skip_arc=fb)
-    if not ok:
-        raise CycleError(witness)
+    order = _dag_levels(base, fb)[1]
     pm = _polys(base, order, fb, source=std.s, backward=False)
     pp = _polys(base, order, fb, source=std.t, backward=True)
     return PathPolynomials(pm, pp)

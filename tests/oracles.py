@@ -331,3 +331,38 @@ def islands_reference(n, tails, heads, vals, min_size, max_size):
     found.sort(key=lambda isl: min(isl[0]))
     found.sort(key=lambda isl: isl[1], reverse=True)
     return found
+
+
+def main_path_reference(std, w, single=False):
+    """(arcs, vertices) of the main path by the per-vertex loop: every
+    vertex reached, in sorted frontier order, adds its out-arcs tied with
+    its heaviest one under the library's tie rule (the smallest (head, arc)
+    of them with `single`)."""
+    from citeflow.extract import _aligned, _tied
+
+    vals, mode = _aligned(std, w)
+    vals = vals.tolist()
+    base, fb = std.base, std.feedback_arc
+    visited = {std.s}
+    chosen: set[int] = set()
+    frontier = [std.s]
+    while frontier:
+        nxt: list[int] = []
+        for v in sorted(frontier):
+            out = [ai for ai in base.out_arcs(v).tolist() if ai != fb]
+            if not out:
+                continue
+            best = max(vals[ai] for ai in out)
+            take = [ai for ai in out if _tied(vals[ai], best, mode)]
+            if single:
+                take = [min(take, key=lambda ai: (int(base.heads[ai]), ai))]
+            for ai in take:
+                chosen.add(ai)
+                head = int(base.heads[ai])
+                if head not in visited:
+                    visited.add(head)
+                    nxt.append(head)
+        frontier = nxt
+    keep = tuple(sorted(ai for ai in chosen if ai < std.original_m))
+    verts = frozenset(visited - {std.s, std.t})
+    return keep, verts

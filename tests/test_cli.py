@@ -198,6 +198,23 @@ def test_repair_finds_strong_components_once(tmp_path, monkeypatch,
     assert calls == [3]
 
 
+@pytest.mark.parametrize("method", ["spc", "nppc"])
+def test_mainpath_computes_the_input_levels_once(tmp_path, monkeypatch,
+                                                 diamond_file, method):
+    sweep = citeflow.acyclic._level_sweep
+    calls = []
+
+    def counted(net, skip_arc, reverse):
+        calls.append((net.n, skip_arc, reverse))
+        return sweep(net, skip_arc, reverse)
+
+    monkeypatch.setattr(citeflow.acyclic, "_level_sweep", counted)
+    assert run(["mainpath", diamond_file, "--method", method,
+                "--out", tmp_path / "out"]) == 0
+    assert calls.count((4, None, False)) == 1  # is_acyclic and standardize
+    assert len(calls) == len(set(calls))
+
+
 def test_cpm_and_cut_outputs(tmp_path):
     path = tmp_path / "branch.net"
     path.write_text(write_pajek(Network(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import citeflow.extract as extract_mod
 from citeflow import (ArcWeights, Network, arc_cut, cpm_path, islands,
                       main_path, nppc, parse_pajek, random_dag, spc,
                       standardize, write_subnetwork)
@@ -86,6 +87,59 @@ def test_main_path_rejects_misaligned_weights(diamond):
         main_path(std, ArcWeights([1.0, 2.0], "float"))
 
 
+def _tie_weights(rng, std, mode, kind):
+    """Main-path weights of one `kind` in `mode` for std's network."""
+    net = Network.from_arrays(std.original_n, std.base.tails[:std.original_m],
+                              std.base.heads[:std.original_m])
+    if kind == "spc":
+        return spc(std, mode).arc
+    if kind == "closure":  # on the original arcs: every s-arc ties at 0
+        vals = nppc(net).arc.values
+        if mode == "exact":
+            return ArcWeights(vals, "exact")
+        vals = np.array(vals, dtype=np.float64) * 1e3
+        return ArcWeights(np.log(vals) if mode == "log" else vals, mode)
+    # few distinct values, so most runs tie; float ties within tolerance
+    vals = rng.integers(0, 4, size=std.base.m)
+    if mode == "exact":
+        return ArcWeights([Fraction(int(v), 2) if v % 2 else int(v)
+                           for v in vals], "exact")
+    vals = vals * (1.0 + 1e-14 * rng.integers(-1, 2, size=len(vals)))
+    with np.errstate(divide="ignore"):
+        return ArcWeights(np.log(vals) if mode == "log" else vals, mode)
+
+
+@pytest.mark.parametrize("kind", ["spc", "rounded", "closure"])
+@pytest.mark.parametrize("mode", ["float", "exact", "log"])
+@pytest.mark.parametrize("seed", range(20))
+def test_main_path_matches_the_frontier_loop(seed, mode, kind):
+    rng = np.random.default_rng(seed)
+    net = random_dag(int(rng.integers(1, 30)), rng.uniform(0.05, 0.6), seed)
+    dup = rng.integers(0, net.m, size=min(net.m, 3))  # parallel arcs
+    net = Network.from_arrays(net.n, np.r_[net.tails, net.tails[dup]],
+                              np.r_[net.heads, net.heads[dup]])
+    std = standardize(net)
+    w = _tie_weights(rng, std, mode, kind)
+    for single in (False, True):
+        sub = main_path(std, w, single)
+        assert (sub.arcs, sub.vertices) == \
+            oracles.main_path_reference(std, w, single)
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_zero_weights_tie_in_every_mode(branch, single):
+    std = standardize(branch)
+    m = std.base.m
+    zeros = [ArcWeights(np.zeros(m), "float"), ArcWeights([0] * m, "exact"),
+             ArcWeights(np.full(m, -np.inf), "log")]  # ln 0 ties as 0 does
+    paths = [main_path(std, w, single) for w in zeros]
+    assert len({(p.arcs, p.vertices) for p in paths}) == 1
+    assert len(paths[0].arcs) == (3 if single else branch.m)
+    cpms = [cpm_path(std, w) for w in zeros]
+    assert {(p.arcs, p.vertices) for p in cpms} == \
+        {(tuple(range(branch.m)), frozenset(range(1, 5)))}
+
+
 # --- critical path ---
 
 def test_cpm_unique_path(branch):
@@ -132,6 +186,20 @@ def test_cpm_matches_enumeration_on_random_weights(seed, kind):
     sub = cpm_path(std, w)
     assert set(sub.arcs) == {i for i in arc_union if i < net.m}
     assert sub.vertices == vert_union
+
+
+@pytest.mark.parametrize("mode", ["exact", "log"])
+def test_cpm_totals_in_chunks(monkeypatch, mode):
+    for seed in range(8):
+        net = random_dag(15, 0.4, seed)
+        std = standardize(net)
+        w = spc(std, mode).arc
+        whole = cpm_path(std, w)
+        monkeypatch.setattr(extract_mod, "_CHUNK", 3)
+        part = cpm_path(std, w)
+        monkeypatch.undo()
+        assert (part.arcs, part.vertices) == (whole.arcs, whole.vertices)
+        assert part.arcs == tuple(sorted(part.arcs))
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from citeflow import Network, hits, random_dag
+from citeflow import HitsScores, Network, hits, random_dag
 
 from conftest import arcs_of
 
@@ -108,6 +108,23 @@ def test_top_ranks_by_score_then_id():
     assert [v for v, _ in ranked] == [1, 2, 3]
     assert ranked[0][1] == pytest.approx(1.0 / math.sqrt(3.0))
     assert scores.top(1, kind="hub") == [(4, pytest.approx(1.0))]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_top_matches_a_python_sort(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    # few distinct values, both signed zeros among them
+    vec = rng.choice([0.0, -0.0, 0.25, 0.5, 1 / 3, 1.0], size=n)
+    scores = HitsScores(vec, vec[::-1].copy(), 1, 0.0, True)
+    for kind in ("authority", "hub"):
+        v = scores.authority if kind == "authority" else scores.hub
+        want = sorted(range(n), key=lambda i: (-v[i], i))
+        for count in (0, 1, n // 2, n, n + 3):
+            got = scores.top(count, kind)
+            assert got == [(i + 1, float(v[i])) for i in want[:count]]
+            assert [math.copysign(1, s) for _, s in got] == \
+                [math.copysign(1, v[i]) for i in want[:count]]
 
 
 def test_scores_are_nonnegative():

@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import citeflow.acyclic as acyclic_mod
+import citeflow.extract as extract_mod
 import citeflow.weights as weights_mod
-from citeflow import (CycleError, Network, WeightOverflowError,
-                      aged_path_counts, complete_acyclic, log_transform,
-                      normalize, nppc, path_polynomials, random_dag, spc,
-                      splc, spnp, standardize, sum_weights)
+from citeflow import (MODES, CycleError, Network, WeightOverflowError,
+                      aged_path_counts, complete_acyclic, cpm_path, depths,
+                      log_transform, normalize, nppc, path_polynomials,
+                      random_dag, spc, splc, spnp, standardize, sum_weights)
 
 import oracles
 from conftest import arcs_of, rand_instance
@@ -189,6 +191,91 @@ def test_closure_methods_without_arcs(net):
 def test_nppc_rejects_cycles():
     with pytest.raises(CycleError):
         nppc(Network(2, [(1, 2), (2, 1)]))
+
+
+# --- one stage schedule per network ---
+
+def _count_builds(monkeypatch):
+    """Keys of every level sweep and stage schedule built from now on."""
+    calls = []
+    sweep, groups = acyclic_mod._level_sweep, acyclic_mod._stage_groups
+
+    def level_sweep(net, skip_arc, reverse):
+        calls.append(("levels", id(net), skip_arc, reverse))
+        return sweep(net, skip_arc, reverse)
+
+    def stage_groups(net, by_tail, count, skip_arc):
+        calls.append(("stages", id(net), by_tail, count, skip_arc))
+        return groups(net, by_tail, count, skip_arc)
+
+    monkeypatch.setattr(acyclic_mod, "_level_sweep", level_sweep)
+    for mod in (weights_mod, extract_mod):  # each passes its own import
+        monkeypatch.setattr(mod, "_stage_groups", stage_groups)
+    return calls
+
+
+def _every_method(net, std, w, cpm_first):
+    """Each sweep-driven result, as comparable values; net() and std() give
+    the networks that each method runs on."""
+    calls = [lambda: cpm_path(std(), w)]
+    calls += [lambda fn=fn, mode=mode: fn(std(), mode)
+              for fn in (spc, splc, spnp) for mode in MODES]
+    calls += [lambda mode=mode: aged_path_counts(std(), 0.5, mode)
+              for mode in MODES]
+    calls += [lambda: depths(std()), lambda: path_polynomials(std()),
+              lambda: nppc(net()), lambda: sum_weights(net())]
+    if not cpm_first:
+        calls.append(calls.pop(0))
+    out = []
+    for call in calls:
+        res = call()
+        if hasattr(res, "arc"):
+            vertex = None if res.vertex is None else list(res.vertex)
+            res = (res.arc.tolist(), vertex, res.total_flow)
+        elif hasattr(res, "arcs"):
+            res = (res.arcs, res.vertices)
+        out.append(res)
+    if not cpm_first:
+        out.insert(0, out.pop())
+    return out
+
+
+def test_schedule_is_built_once_per_key(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    net = random_dag(40, 0.2, seed=3)
+    std = standardize(net)
+    w = spc(std, "log").arc
+    for cpm_first in (True, False, True):
+        _every_method(lambda: net, lambda: std, w, cpm_first)
+    assert len(calls) == len(set(calls))
+    # levels: net, std forward and (depths) backward; stages: both
+    # directions of the flow arcs, of the arcs but (t, s) and of net's arcs
+    assert [c[0] for c in calls].count("levels") == 3
+    assert [c[0] for c in calls].count("stages") == 6
+
+
+@pytest.mark.parametrize("cpm_first", [True, False])
+def test_shared_schedule_gives_fresh_results(cpm_first):
+    net = random_dag(30, 0.3, seed=5)
+    w = spc(standardize(net), "log").arc
+    std = standardize(net)
+    shared = _every_method(lambda: net, lambda: std, w, cpm_first)
+
+    def fresh_net():
+        return Network.from_arrays(net.n, net.tails, net.heads)
+
+    assert shared == _every_method(fresh_net, lambda: standardize(fresh_net()),
+                                   w, cpm_first)
+
+
+def test_cached_schedule_stays_read_only():
+    net = random_dag(25, 0.3, seed=8)
+    anc, desc = oracles.closure_counts(net.n, arcs_of(net))
+    for _ in range(2):
+        _check_closure_methods(net, anc, desc)
+    for key, value in net._memos.items():
+        arrays = value if key[0] == "_stage_groups" else value[:2]
+        assert not any(a.flags.writeable for a in arrays), key
 
 
 # --- structural invariants ---
