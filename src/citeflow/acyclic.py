@@ -184,40 +184,36 @@ def topological_order(net: Network) -> TopologicalOrder:
                 heapq.heappush(ready, w)
     if len(order) < n:
         remaining = {v for v in range(1, n + 1) if indeg[v] > 0}
-        raise CycleError(_cycle_witness_masked(net, remaining, None, False))
+        raise CycleError(_cycle_witness(net, remaining, False))
     position = np.argsort(order) + 1  # rank of each vertex 1..n
     return TopologicalOrder(tuple(order), tuple(position.tolist()))
 
 
-def _levels(net: Network, skip_arc: int | None = None, reverse: bool = False):
+def _levels(net: Network, reverse: bool = False):
     """Longest-path depth of every vertex from the in-degree-0 frontier.
 
     Frontier-batched Kahn sweep: level(v) = length of the longest arc path
     from any source to v.  With `reverse` the arcs are walked backwards.
-    `skip_arc` treats one arc index as absent (the feedback arc).  Returns
-    (level array indexed 1..n with -1 for vertices stuck on cycles, vertex
-    order as one flat array, acyclic flag, witness vertex or None), computed
-    once per (skip_arc, reverse) and kept on `net`; the arrays are read-only.
+    Returns (level array indexed 1..n with -1 for vertices stuck on cycles,
+    vertex order as one flat array, acyclic flag, witness vertex or None),
+    computed once per direction and kept on `net`; the arrays are read-only.
     """
-    return net._memo(_level_sweep, skip_arc, reverse)
+    return net._memo(_level_sweep, reverse)
 
 
-def _dag_levels(net: Network, skip_arc: int | None = None,
-                reverse: bool = False):
+def _dag_levels(net: Network, reverse: bool = False):
     """(level, order) of `_levels`; raises CycleError on a cycle."""
-    level, order, ok, witness = _levels(net, skip_arc, reverse)
+    level, order, ok, witness = _levels(net, reverse)
     if not ok:
         raise CycleError(witness)
     return level, order
 
 
-def _level_sweep(net: Network, skip_arc, reverse):
+def _level_sweep(net: Network, reverse):
     n = net.n
     heads = net.tails if reverse else net.heads
     ptr, arcs = net._adjacency(reverse)
     indeg = np.bincount(heads, minlength=n + 1)
-    if skip_arc is not None:
-        indeg[heads[skip_arc]] -= 1
     level = np.full(n + 1, -1, dtype=np.int64)
     frontier = np.flatnonzero(indeg[1:] == 0) + 1
     parts: list[np.ndarray] = []
@@ -226,10 +222,8 @@ def _level_sweep(net: Network, skip_arc, reverse):
         level[frontier] = lev
         parts.append(frontier)
         done += frontier.size
-        idx = _gather(ptr, arcs, frontier)
-        if skip_arc is not None:
-            idx = idx[idx != skip_arc]
-        cand, hits = np.unique(heads[idx], return_counts=True)
+        cand, hits = np.unique(heads[_gather(ptr, arcs, frontier)],
+                               return_counts=True)
         indeg[cand] -= hits
         frontier = cand[indeg[cand] == 0]
         lev += 1
@@ -237,8 +231,7 @@ def _level_sweep(net: Network, skip_arc, reverse):
     level.flags.writeable = order.flags.writeable = False
     if done < n:
         remaining = {v for v in range(1, n + 1) if level[v] < 0}
-        witness = _cycle_witness_masked(net, remaining, skip_arc, reverse)
-        return level, order, False, witness
+        return level, order, False, _cycle_witness(net, remaining, reverse)
     return level, order, True, None
 
 
@@ -250,7 +243,7 @@ def _gather(ptr: np.ndarray, arcs: np.ndarray, verts: np.ndarray):
     return arcs[at + np.arange(len(at))]
 
 
-def _cycle_witness_masked(net, remaining, skip_arc, reverse) -> int:
+def _cycle_witness(net, remaining, reverse) -> int:
     """Walk predecessors (successors with `reverse`) inside `remaining`
     until a vertex repeats; every vertex left over by Kahn's algorithm has
     one there."""
@@ -261,8 +254,6 @@ def _cycle_witness_masked(net, remaining, skip_arc, reverse) -> int:
     while v not in seen:
         seen.add(v)
         for ai in arcs_of(v).tolist():
-            if ai == skip_arc:
-                continue
             u = int(ends[ai])
             if u in remaining:
                 v = u
@@ -272,24 +263,24 @@ def _cycle_witness_masked(net, remaining, skip_arc, reverse) -> int:
     return v
 
 
-def _stage_groups(net: Network, by_tail: bool, count: int,
-                  skip_arc: int | None):
-    """Stage schedule of arcs 0..count-1 by the forward level (`skip_arc`
-    left out) of their tails, or heads: one np.lexsort by (stage, near
-    endpoint, arc).  Built once per key as net._memo(_stage_groups, ...).
+def _stage_groups(net: Network, by_tail: bool):
+    """Stage schedule of the arcs by the forward level of their tails, or
+    heads: one np.lexsort by (stage, near endpoint, arc).  Built once per
+    direction as net._memo(_stage_groups, by_tail) and shared by the flow
+    methods, the closures and cpm_path, which all sweep the input network.
 
     Read-only (idx, stage, runs, ends): the arcs in that order (int32 when
     they fit: 4 bytes per arc), the bounds in idx of each stage that has
     arcs (lowest first), the offsets in idx where a near endpoint's arcs
     start (stage starts among them) and that endpoint for each run.
     """
-    level = _dag_levels(net, skip_arc)[0]
-    ends = (net.tails if by_tail else net.heads)[:count]
+    level = _dag_levels(net)[0]
+    ends = net.tails if by_tail else net.heads
     dt = np.uint16 if net.n < 2**16 else np.int64  # uint16 sorts by radix
     idx = np.lexsort((ends.astype(dt), level[ends].astype(dt))).astype(
-        np.int32 if count < 2**31 else np.int64)
+        np.int32 if net.m < 2**31 else np.int64)
     ends = ends[idx]
-    stage = np.r_[np.flatnonzero(np.diff(level[ends], prepend=-1)), count]
+    stage = np.r_[np.flatnonzero(np.diff(level[ends], prepend=-1)), net.m]
     runs = np.flatnonzero(np.diff(ends, prepend=-1))
     sched = idx, stage, runs, ends[runs]
     for arr in sched:
@@ -337,11 +328,14 @@ def is_acyclic(net: Network) -> bool:
 class StandardizedNetwork:
     """A network extended with source s, sink t and the feedback arc (t, s).
 
-    `base` holds the extended network: original arcs first (order kept),
-    then (s, u) for every minimal u, then (u, t) for every maximal u, then
-    the feedback arc last.  s = n+1, t = n+2.
+    `net` is the input network.  `base` holds the extended network: the
+    input's arcs first (order kept), then (s, u) for every minimal u, then
+    (u, t) for every maximal u, then the feedback arc last.  s = n+1,
+    t = n+2.  The sweeps run on `net` and treat s, t and (t, s) as seeds
+    and closing reductions, so `base` caches no levels or schedules.
     """
 
+    net: Network
     base: Network
     s: int
     t: int
@@ -350,11 +344,11 @@ class StandardizedNetwork:
 
     @property
     def original_n(self) -> int:
-        return self.s - 1
+        return self.net.n
 
     @property
     def original_m(self) -> int:
-        return self.base.m - len(self.added_arcs) - 1
+        return self.net.m
 
     def without_feedback(self) -> Network:
         """The acyclic extension: every arc except (t, s)."""
@@ -379,7 +373,7 @@ def standardize(net: Network) -> StandardizedNetwork:
     labels = list(net.labels) + ["s", "t"]
     base = Network.from_arrays(t, tails, heads, weights, labels)
     added = tuple(range(net.m, net.m + len(mins) + len(maxs)))
-    return StandardizedNetwork(base, s, t, base.m - 1, added)
+    return StandardizedNetwork(net, base, s, t, base.m - 1, added)
 
 
 # --- depths ---
@@ -399,7 +393,11 @@ class DepthMap:
 
 
 def depths(std: StandardizedNetwork) -> DepthMap:
-    fwd, bwd = (_dag_levels(std.base, std.feedback_arc, back)[0]
+    """The input's forward and backward levels, each one arc further from
+    s (from t); s and t lie H = (input depth) + 2 apart, or 0 apart when
+    the input has no vertex and (t, s) is the only arc."""
+    fwd, bwd = (_dag_levels(std.net, back)[0][1:] + 1
                 for back in (False, True))
-    return DepthMap(tuple(fwd[1:].tolist()), tuple(bwd[1:].tolist()),
-                    int(fwd[std.t]))
+    H = int(fwd.max()) + 1 if fwd.size else 0
+    return DepthMap(tuple(fwd.tolist()) + (0, H),
+                    tuple(bwd.tolist()) + (H, 0), H)

@@ -185,13 +185,6 @@ def _compute(net: Network, method: str, mode: str, alpha: float | None):
         raise _Fail(EXIT_OVERFLOW, str(exc)) from exc
 
 
-def _original_arc_values(net: Network, std, result) -> list:
-    """Per-arc weights aligned with `net`, whichever network the method ran
-    on (standardized networks keep the original arcs first, in order)."""
-    vals = result.arc.tolist()
-    return vals[:net.m] if std is not None else vals
-
-
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
@@ -295,7 +288,7 @@ def _weighted(args):
 
 def _cmd_weights(args) -> int:
     raw, net, std, result, mode, repaired = _weighted(args)
-    arc_vals = _original_arc_values(net, std, result)
+    arc_vals = result.arc.tolist()[:net.m]  # the input's arcs come first
     files = {f"{args.method}.net": write_pajek(net, arc_vals)}
     if result.vertex is not None:
         files[f"{args.method}.vec"] = write_vector(result.vertex[:net.n])
@@ -353,8 +346,7 @@ def _path_common(args):
 def _cmd_mainpath(args) -> int:
     raw, net, std, result, mode, repaired = _path_common(args)
     sub = main_path(std, result.arc, single=args.single)
-    files = {"mainpath.net": write_subnetwork(
-        sub, result.arc if len(result.arc) == std.base.m else None)}
+    files = {"mainpath.net": write_subnetwork(sub, result.arc)}
     params = _weight_params(args, mode)
     params["single"] = args.single
     text = (f"main path: {len(sub.vertices)} vertices, "
@@ -365,8 +357,7 @@ def _cmd_mainpath(args) -> int:
 def _cmd_cpm(args) -> int:
     raw, net, std, result, mode, repaired = _path_common(args)
     sub = cpm_path(std, result.arc)
-    files = {"cpm.net": write_subnetwork(
-        sub, result.arc if len(result.arc) == std.base.m else None)}
+    files = {"cpm.net": write_subnetwork(sub, result.arc)}
     text = (f"critical path: {len(sub.vertices)} vertices, "
             f"{len(sub.arcs)} arcs (method {result.method})")
     return _finish(args, raw, _weight_params(args, mode), files, text)
@@ -374,7 +365,7 @@ def _cmd_cpm(args) -> int:
 
 def _cmd_cut(args) -> int:
     raw, net, std, result, mode, repaired = _weighted(args)
-    vals = _original_arc_values(net, std, result)
+    vals = result.arc.tolist()[:net.m]
     cut_vals, threshold = ArcWeights(vals, result.arc.mode), args.threshold
     if result.arc.mode == "log":  # logs: cut at ln T, where T is linear
         if threshold <= 0:
@@ -386,7 +377,7 @@ def _cmd_cut(args) -> int:
                 cut_vals = ArcWeights([-math.inf if i in floored else v
                                        for i, v in enumerate(vals)], "log")
     sub = arc_cut(net, cut_vals, threshold)
-    files = {"cut.net": write_subnetwork(sub, vals)}
+    files = {"cut.net": write_subnetwork(sub, result.arc)}
     sizes = sorted((len(c) for c in sub.components), reverse=True)
     text = (f"cut at {format_number(args.threshold)}: {len(sub.vertices)} "
             f"vertices, {len(sub.arcs)} arcs, {len(sizes)} weak components"

@@ -62,11 +62,13 @@ class Subnetwork:
 
 
 def write_subnetwork(sub: Subnetwork, weights: ArcWeights | None = None) -> str:
-    """Pajek text for a subnetwork; `weights` (aligned with the parent's
-    arcs) overrides the written arc weight column."""
-    return write_pajek(sub.to_network(),
-                       [float(weights[i]) for i in sub.arcs]
-                       if weights is not None else None)
+    """Pajek text for a subnetwork; `weights` (indexed by the parent's arcs,
+    and possibly longer) overrides the written arc weight column, each value
+    written as given: exact integers keep every digit."""
+    if weights is not None:
+        vals = weights.tolist() if hasattr(weights, "tolist") else weights
+        weights = [vals[i] for i in sub.arcs]
+    return write_pajek(sub.to_network(), weights)
 
 
 def _aligned(std: StandardizedNetwork, w: ArcWeights):
@@ -98,17 +100,17 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
     weight out-arcs (all of them when tied), so the result can branch; with
     `single` ties break toward the smallest head id and exactly one chain
     comes back.  The source, sink and their auxiliary arcs are stripped from
-    the report.  Each round gathers the out-arcs of the newly reached
-    vertices from the adjacency index: O(m) array work in all.
+    the report.  The first round takes the (s, u) arcs; each later round
+    gathers the out-arcs of the newly reached vertices from the input's
+    adjacency index: O(m) array work in all.
     """
     vals, mode = _aligned(std, w)
     base = std.base
-    ptr, out = base._adjacency()
-    seen = np.arange(base.n + 1) == std.s
-    chosen = [out[:0]]
-    frontier = np.array([std.s])
-    while frontier.size:
-        arcs = _gather(ptr, out, frontier)
+    ptr, out = std.net._adjacency()
+    seen = np.zeros(std.s, dtype=bool)  # 1..n: the (u, t) arcs go unwalked
+    arcs = np.flatnonzero(base.tails == std.s)  # by head, like a CSR run
+    chosen = [arcs[:0]]
+    while arcs.size:
         tails, v = base.tails[arcs], vals[arcs]
         runs = np.flatnonzero(np.diff(tails, prepend=-1))  # one per tail
         best = np.repeat(np.maximum.reduceat(v, runs),  # per arc
@@ -120,10 +122,11 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
         heads = np.unique(base.heads[arcs[tied]])
         frontier = heads[~seen[heads]]
         seen[frontier] = True
-    keep = np.sort(np.concatenate(chosen))  # (t, s) included, cut below
+        arcs = _gather(ptr, out, frontier)
+    keep = np.sort(np.concatenate(chosen))  # the (s, u) arcs are cut below
     keep = tuple(keep[keep < std.original_m].tolist())
-    verts = frozenset(np.flatnonzero(seen[:std.s]).tolist())  # 0 is unseen
-    return Subnetwork(base, verts, keep, "main_path")
+    verts = frozenset(np.flatnonzero(seen).tolist())
+    return Subnetwork(std.net, verts, keep, "main_path")
 
 
 # --- critical path ---
@@ -131,33 +134,41 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
 def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
     """Arcs and vertices lying on maximum-total-weight source-sink paths.
 
-    Classic two-sweep longest-path dynamic program over the topological
-    stages; every optimal path is reported when totals tie (`_tied`).  A
-    path's total is the sum of its linear weights in every mode: log weights
-    add with logaddexp, from ln 0 = -inf.
+    Classic two-sweep longest-path dynamic program over the input's
+    topological stages, seeded over the (s, u) arcs (the (u, t) arcs
+    backwards) and closed with one reduction over the arcs into t (out of
+    s); every optimal path is reported when totals tie (`_tied`).  A path's
+    total is the sum of its linear weights in every mode: log weights add
+    with logaddexp, from ln 0 = -inf.
     """
     vals, mode = _aligned(std, w)
     times = np.logaddexp if mode == "log" else np.add
-    base, fb = std.base, std.feedback_arc
+    net, base = std.net, std.base
     dist = []  # best total s -> v, then best total v -> t
-    for far, end, backward in ((base.tails, std.s, False),
-                               (base.heads, std.t, True)):
+    for far, near, start, end, backward in (
+            (base.tails, base.heads, std.s, std.t, False),
+            (base.heads, base.tails, std.t, std.s, True)):
         c = np.full(base.n + 1, -np.inf, dtype=vals.dtype)
-        c[end] = -np.inf if mode == "log" else 0
-        sched = base._memo(_stage_groups, backward, fb, fb)
-        dist.append(_sweep(c, sched, far, np.maximum, times, vals,
-                           descending=backward))
+        c[start] = -np.inf if mode == "log" else 0
+        seeds = np.flatnonzero(far == start)
+        c[near[seeds]] = times(c[start], vals[seeds])
+        _sweep(c, net._memo(_stage_groups, backward), far, np.maximum, times,
+               vals, descending=backward)
+        links = np.flatnonzero(near == end)
+        c[end] = np.maximum.reduce(times(c[far[links]], vals[links]),
+                                   initial=-np.inf)
+        dist.append(c)
     fdist, gdist = dist
     optimum = fdist[std.t]
-    chosen, m = [], std.original_m
+    chosen, m = [], net.m
     for arcs in np.split(np.arange(m), range(_CHUNK, m, _CHUNK)):
-        total = times(times(fdist[base.tails[arcs]], vals[arcs]),
-                      gdist[base.heads[arcs]])
+        total = times(times(fdist[net.tails[arcs]], vals[arcs]),
+                      gdist[net.heads[arcs]])
         chosen.append(arcs[_tied(total, optimum, mode)])
     keep = tuple(np.concatenate(chosen).tolist())
     on_path = _tied(times(fdist, gdist), optimum, mode)
     verts = frozenset((np.flatnonzero(on_path[1:]) + 1).tolist())
-    return Subnetwork(base, verts - {std.s, std.t}, keep, "cpm_path")
+    return Subnetwork(net, verts - {std.s, std.t}, keep, "cpm_path")
 
 
 # --- arc cut ---

@@ -2,11 +2,12 @@
 
 Vertices are 1-based contiguous ids with string labels.  Arcs are stored as
 parallel numpy arrays (tail, head, weight).  The CSR-style adjacency indices
-of each direction and the stage schedules derived from them are built on
-first use and kept, so a network that is only transformed or written never
-pays for them.  An arc (u, v) points from the cited (earlier) work u to the
-citing (later) work v, so arc direction follows the flow of knowledge
-forward in time.
+of each direction and the levels and stage schedules derived from them are
+built on first use and kept, so a network that is only transformed or
+written never pays for them.  The DAG sweeps keep their levels and
+schedules on the input network only, never on its standard form.  An arc
+(u, v) points from the cited (earlier) work u to the citing (later) work
+v, so arc direction follows the flow of knowledge forward in time.
 
 Parallel arcs and loops are representable; `simplify` merges parallels.
 Networks are immutable after construction.

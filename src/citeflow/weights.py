@@ -74,8 +74,8 @@ _RINGS = {
 
 def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
                  alpha: float, mode: Mode):
-    """Two stage sweeps over the original arcs; returns (arc values, vertex
-    values, total flow), all aligned with the standardized network.
+    """Two stage sweeps over the input network's arcs; returns (arc values,
+    vertex values, total flow), all aligned with the standardized network.
 
     fwd[v] counts the paths ending at v, bwd[v] those starting at v, each
     arc on them damped by `alpha`.  A path starts at a vertex linked to s:
@@ -86,7 +86,7 @@ def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
     """
     if mode not in MODES:
         raise ValueError(f"unknown numeric mode: {mode!r}")
-    base, s, t, m = std.base, std.s, std.t, std.original_m
+    net, base, s, t = std.net, std.base, std.s, std.t
     dtype, zero, one, plus, times = _RINGS[mode]
     factor = None if alpha == 1 else {
         "float": alpha, "exact": Fraction(alpha), "log": math.log(alpha)}[mode]
@@ -97,7 +97,7 @@ def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
 
     def sweep(far, seeded, backward):
         c = np.where(seeded, one, zero).astype(dtype)
-        sched = base._memo(_stage_groups, backward, m, std.feedback_arc)
+        sched = net._memo(_stage_groups, backward)
         return _sweep(c, sched, far, plus, times, factor, descending=backward)
 
     def linked(c, seeded, standard):
@@ -108,8 +108,8 @@ def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
     to_s = every if seed_fwd else minimal
     to_t = every if seed_bwd else maximal
     with np.errstate(over="ignore", invalid="ignore"):
-        fwd = sweep(base.tails, to_s, backward=False)
-        bwd = sweep(base.heads, to_t, backward=True)
+        fwd = sweep(net.tails, to_s, backward=False)
+        bwd = sweep(net.heads, to_t, backward=True)
         fwd[s], fwd[t] = one, linked(fwd, to_t, maximal)
         bwd[s], bwd[t] = linked(bwd, to_s, minimal), one
         arc = times(fwd[base.tails], bwd[base.heads])
@@ -173,7 +173,7 @@ def _closures(net: Network) -> tuple[np.ndarray, np.ndarray]:
     n = net.n
     sizes = []
     for by_tail, far in ((False, net.tails), (True, net.heads)):
-        sched = net._memo(_stage_groups, by_tail, net.m, None)
+        sched = net._memo(_stage_groups, by_tail)
         counts = np.zeros(n + 1, dtype=np.int64)
         for first in range(1, n + 1, 64 * _WORDS):
             src = np.arange(first, min(first + 64 * _WORDS, n + 1))
@@ -239,27 +239,21 @@ class PathPolynomials:
 
 
 def path_polynomials(std: StandardizedNetwork) -> PathPolynomials:
-    base, fb = std.base, std.feedback_arc
-    order = _dag_levels(base, fb)[1]
-    pm = _polys(base, order, fb, source=std.s, backward=False)
-    pp = _polys(base, order, fb, source=std.t, backward=True)
+    order = [std.s, *_dag_levels(std.net)[1].tolist(), std.t]
+    pm = _polys(std.base, order, source=std.s, backward=False)
+    pp = _polys(std.base, order, source=std.t, backward=True)
     return PathPolynomials(pm, pp)
 
 
-def _polys(base, order, feedback, source, backward):
+def _polys(base, order, source, backward):
     ends = (base.heads if backward else base.tails).tolist()
     arcs_of = base.out_arcs if backward else base.in_arcs
     polys: list[list[int]] = [[] for _ in range(base.n + 1)]
-    seq = order.tolist()
-    if backward:
-        seq = reversed(seq)
-    for v in seq:
-        if v == source:
-            continue  # zero polynomial: no path ends on the far side of it
+    for v in (reversed(order) if backward else order):
+        if v == source:  # zero polynomial; its one arc this way is (t, s)
+            continue
         acc: list[int] = []
         for ai in arcs_of(v).tolist():
-            if ai == feedback:
-                continue
             p = polys[ends[ai]]
             if len(acc) < len(p):
                 acc.extend([0] * (len(p) - len(acc)))

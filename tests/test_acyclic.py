@@ -238,3 +238,15 @@ def test_depths_match_longest_path_enumeration(seed):
     rev_arcs = [(h, t) for t, h in arcs]
     assert list(dm.h_minus)[:net.n] == \
         oracles.longest_from_source(net.n, rev_arcs)[:net.n]
+
+
+@pytest.mark.parametrize("n, arcs, h, h_minus, H", [
+    (0, [], (0, 0), (0, 0), 0),
+    (3, [], (1, 1, 1, 0, 2), (1, 1, 1, 2, 0), 2),
+    (2, [(1, 2)], (1, 2, 0, 3), (2, 1, 3, 0), 3),
+    (3, [(1, 2)], (1, 2, 1, 0, 3), (2, 1, 1, 3, 0), 3),
+], ids=["empty", "isolated", "single-arc", "arc-and-isolated"])
+def test_depths_on_tiny_networks(n, arcs, h, h_minus, H):
+    dm = depths(standardize(Network(n, arcs)))
+    assert (dm.h, dm.h_minus, dm.H) == (h, h_minus, H)
+    assert list(dm.h) == oracles.longest_from_source(n, arcs)

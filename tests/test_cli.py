@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import citeflow
-from citeflow import (Network, aged_path_counts, parse_pajek, random_dag, spc,
-                      standardize, write_pajek)
+from citeflow import (Network, aged_path_counts, complete_acyclic, parse_pajek,
+                      random_dag, spc, standardize, write_pajek)
 from citeflow.cli import main
 
 from conftest import arcs_of
@@ -204,14 +204,14 @@ def test_mainpath_computes_the_input_levels_once(tmp_path, monkeypatch,
     sweep = citeflow.acyclic._level_sweep
     calls = []
 
-    def counted(net, skip_arc, reverse):
-        calls.append((net.n, skip_arc, reverse))
-        return sweep(net, skip_arc, reverse)
+    def counted(net, reverse):
+        calls.append((net.n, reverse))
+        return sweep(net, reverse)
 
     monkeypatch.setattr(citeflow.acyclic, "_level_sweep", counted)
     assert run(["mainpath", diamond_file, "--method", method,
                 "--out", tmp_path / "out"]) == 0
-    assert calls.count((4, None, False)) == 1  # is_acyclic and standardize
+    assert calls.count((4, False)) == 1  # is_acyclic and standardize
     assert len(calls) == len(set(calls))
 
 
@@ -245,6 +245,48 @@ def test_islands_outputs(tmp_path):
     assert csv[0] == "size,count"
     assert len(csv) == 3  # dense sizes 1..K
     assert all("," in line for line in csv[1:])
+
+
+def _arc_rows(path) -> dict:
+    """{(tail label, head label): weight token} of a written .net file."""
+    lines = path.read_text().splitlines()
+    n = int(lines[0].split()[1])
+    label = {v.split()[0]: v.split('"')[1] for v in lines[1:n + 1]}
+    rows = [line.split() for line in lines[n + 2:]]
+    return {(label[t], label[h]): w for t, h, w in rows}
+
+
+@pytest.mark.parametrize("method", ["nppc", "sum"])
+@pytest.mark.parametrize("command", ["mainpath", "cpm", "cut"])
+def test_subnetworks_write_the_method_weights(tmp_path, method, command):
+    path = tmp_path / "diamond7.net"
+    path.write_text(DIAMOND.split("*Arcs")[0]
+                    + "*Arcs\n1 2 7\n1 3 7\n2 4 7\n3 4 7\n")
+    assert set(_arc_rows(path).values()) == {"7"}
+    assert run(["weights", path, "--method", method,
+                "--out", tmp_path / "w"]) == 0
+    rows = _arc_rows(tmp_path / "w" / f"{method}.net")
+    extra = ["--threshold", "0"] if command == "cut" else []
+    assert run([command, path, "--method", method, *extra,
+                "--out", tmp_path / "o"]) == 0
+    assert _arc_rows(tmp_path / "o" / f"{command}.net") == rows  # 4 arcs
+
+
+@pytest.mark.parametrize("command", ["mainpath", "cpm", "cut"])
+def test_exact_subnetwork_weights_keep_every_digit(tmp_path, command):
+    path = tmp_path / "complete.net"
+    path.write_text(write_pajek(complete_acyclic(64)))
+    assert run(["weights", path, "--mode", "exact",
+                "--out", tmp_path / "w"]) == 0
+    rows = _arc_rows(tmp_path / "w" / "spc.net")
+    assert max(map(len, rows.values())) > 17  # beyond a double's digits
+    extra = ["--threshold", "0"] if command == "cut" else []
+    assert run([command, path, "--mode", "exact", *extra,
+                "--out", tmp_path / "o"]) == 0
+    sub = _arc_rows(tmp_path / "o" / f"{command}.net")
+    assert sub and all(rows[arc] == w for arc, w in sub.items())
+    if command == "cut":
+        assert sub == rows
 
 
 def test_hits_outputs(tmp_path, capsys):

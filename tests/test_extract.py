@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import citeflow.extract as extract_mod
-from citeflow import (ArcWeights, Network, arc_cut, cpm_path, islands,
+from citeflow import (MODES, ArcWeights, Network, arc_cut, cpm_path, islands,
                       main_path, nppc, parse_pajek, random_dag, spc,
                       standardize, write_subnetwork)
 
@@ -213,6 +213,34 @@ def test_cpm_dominates_greedy_branches(seed):
     sub = main_path(std, res.arc, single=True)
     greedy_total = sum(w[i] for i in sub.arcs)
     assert greedy_total <= cpm_total
+
+
+# --- tiny networks: the s and t arcs are seeds and closing reductions ---
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n, arcs, main, single, cpm", [
+    (0, [], set(), set(), set()),
+    (3, [], {1, 2, 3}, {1}, {1, 2, 3}),
+    (2, [(1, 2)], {1, 2}, {1, 2}, {1, 2}),
+    (3, [(1, 2)], {1, 2, 3}, {1, 2}, {1, 2}),
+], ids=["empty", "isolated", "single-arc", "arc-and-isolated"])
+def test_extractors_on_tiny_networks(n, arcs, main, single, cpm, mode):
+    net = Network(n, arcs)
+    std = standardize(net)
+    w = spc(std, mode).arc
+    kept = tuple(range(net.m))  # every arc lies on each reported path
+    for flag, verts in ((False, main), (True, single)):
+        sub = main_path(std, w, single=flag)
+        assert (sub.arcs, sub.vertices) == (kept, verts)
+        assert (sub.arcs, sub.vertices) == oracles.main_path_reference(
+            standardize(net), w, single=flag)
+    sub = cpm_path(std, w)
+    assert (sub.arcs, sub.vertices) == (kept, cpm)
+    if n:
+        _, arc_union, vert_union = oracles.cpm_oracle(
+            n, arcs, list(spc(std, "exact").arc))
+        assert (set(sub.arcs), sub.vertices) == (
+            {i for i in arc_union if i < net.m}, vert_union)
 
 
 # --- arc cut ---

@@ -9,8 +9,9 @@ import citeflow.extract as extract_mod
 import citeflow.weights as weights_mod
 from citeflow import (MODES, CycleError, Network, WeightOverflowError,
                       aged_path_counts, complete_acyclic, cpm_path, depths,
-                      log_transform, normalize, nppc, path_polynomials,
-                      random_dag, spc, splc, spnp, standardize, sum_weights)
+                      log_transform, main_path, normalize, nppc,
+                      path_polynomials, random_dag, spc, splc, spnp,
+                      standardize, sum_weights)
 
 import oracles
 from conftest import arcs_of, rand_instance
@@ -200,13 +201,13 @@ def _count_builds(monkeypatch):
     calls = []
     sweep, groups = acyclic_mod._level_sweep, acyclic_mod._stage_groups
 
-    def level_sweep(net, skip_arc, reverse):
-        calls.append(("levels", id(net), skip_arc, reverse))
-        return sweep(net, skip_arc, reverse)
+    def level_sweep(net, reverse):
+        calls.append(("levels", id(net), reverse))
+        return sweep(net, reverse)
 
-    def stage_groups(net, by_tail, count, skip_arc):
-        calls.append(("stages", id(net), by_tail, count, skip_arc))
-        return groups(net, by_tail, count, skip_arc)
+    def stage_groups(net, by_tail):
+        calls.append(("stages", id(net), by_tail))
+        return groups(net, by_tail)
 
     monkeypatch.setattr(acyclic_mod, "_level_sweep", level_sweep)
     for mod in (weights_mod, extract_mod):  # each passes its own import
@@ -248,10 +249,32 @@ def test_schedule_is_built_once_per_key(monkeypatch):
     for cpm_first in (True, False, True):
         _every_method(lambda: net, lambda: std, w, cpm_first)
     assert len(calls) == len(set(calls))
-    # levels: net, std forward and (depths) backward; stages: both
-    # directions of the flow arcs, of the arcs but (t, s) and of net's arcs
-    assert [c[0] for c in calls].count("levels") == 3
-    assert [c[0] for c in calls].count("stages") == 6
+    # every sweep runs on net: its levels forward and (depths) backward,
+    # one schedule per direction shared by flows, cpm and closures
+    assert all(c[1] == id(net) for c in calls)
+    assert [c[0] for c in calls].count("levels") == 2
+    assert [c[0] for c in calls].count("stages") == 2
+
+
+def test_sweeps_cache_nothing_on_the_standard_form():
+    net = random_dag(30, 0.3, seed=2)
+    std = standardize(net)
+    w = spc(std, "log").arc
+    for mode in MODES:
+        for fn in (spc, splc, spnp):
+            fn(std, mode)
+        aged_path_counts(std, 0.5, mode)
+    cpm_path(std, w)
+    depths(std)
+    main_path(std, w)
+    main_path(std, w, single=True)
+    nppc(net)
+    sum_weights(net)
+    assert std.base._memos == {}
+    # the input's CSR, levels and schedule, one of each per direction
+    assert sorted(net._memos) == sorted(
+        (name, back) for name in ("_csr", "_level_sweep", "_stage_groups")
+        for back in (False, True))
 
 
 @pytest.mark.parametrize("cpm_first", [True, False])
@@ -336,6 +359,19 @@ def test_path_polynomials_diamond(diamond):
     assert pp.p_plus[0] == (1, 2, 2)
     assert pp.l_minus() == (1, 2, 2, 5, 0, 6)
     assert pp.l_plus() == (5, 2, 2, 1, 6, 0)
+
+
+@pytest.mark.parametrize("n, arcs, p_minus, p_plus", [
+    (0, [], ((), (1,)), ((1,), ())),
+    (3, [], ((1,), (1,), (1,), (), (1, 3)), ((1,), (1,), (1,), (1, 3), ())),
+    (2, [(1, 2)], ((1,), (1, 1), (), (1, 1, 1)),
+     ((1, 1), (1,), (1, 1, 1), ())),
+], ids=["empty", "isolated", "single-arc"])
+def test_path_polynomials_on_tiny_networks(n, arcs, p_minus, p_plus):
+    pp = path_polynomials(standardize(Network(n, arcs)))
+    assert (pp.p_minus, pp.p_plus) == (p_minus, p_plus)
+    ending = oracles.paths_ending_at(n, arcs)
+    assert pp.l_minus()[:n] == tuple(map(len, ending))
 
 
 @pytest.mark.parametrize("seed", range(10))
