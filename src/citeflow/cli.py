@@ -8,8 +8,9 @@ repeated; outputs are byte-identical across repeats (the manifest timestamp
 aside).
 
 Exit codes: 0 success, 2 bad arguments, 3 unreadable or malformed input,
-4 cyclic input where an acyclic one is required, 5 numeric overflow.  Exit
-0 also when stdout's reader leaves early (`| head`): files are written first.
+4 cyclic input where an acyclic one is required, 5 numeric overflow (float
+counts, or an exact fraction with no float rendering).  Exit 0 also when
+stdout's reader leaves early (`| head`): files are written first.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import hashlib
 import json
 import math
 import os
-import statistics
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -304,10 +304,12 @@ def _cmd_weights(args) -> int:
         summary.append(f"totalFlow    {format_number(result.total_flow)}")
     summary.append(f"normalized   {'yes' if result.normalized else 'no'}")
     if net.m:
-        if result.arc.mode == "exact":
-            spread = min(arc_vals), statistics.median(arc_vals), max(arc_vals)
+        if result.arc.mode == "exact":  # exact midpoint of the middle pair
+            ordered, k = sorted(arc_vals), net.m // 2
+            spread = (ordered[0], Fraction(ordered[k] + ordered[~k]) / 2,
+                      ordered[-1])
         else:
-            vals = np.array(arc_vals)
+            vals = result.arc.values[:net.m]
             spread = vals.min(), np.median(vals), vals.max()
         summary.append("arc weights  min %s  median %s  max %s"
                        % tuple(map(format_number, spread)))
@@ -365,18 +367,15 @@ def _cmd_cpm(args) -> int:
 
 def _cmd_cut(args) -> int:
     raw, net, std, result, mode, repaired = _weighted(args)
-    vals = result.arc.tolist()[:net.m]
-    cut_vals, threshold = ArcWeights(vals, result.arc.mode), args.threshold
+    vals, threshold = result.arc.values[:net.m], args.threshold
     if result.arc.mode == "log":  # logs: cut at ln T, where T is linear
         if threshold <= 0:
             threshold = -math.inf
-        else:
+        else:  # zeros mapped to a floor stay below T > 0
             threshold = math.log(threshold)
-            if result.floored:  # zeros mapped to a floor stay below T > 0
-                floored = set(result.floored)
-                cut_vals = ArcWeights([-math.inf if i in floored else v
-                                       for i, v in enumerate(vals)], "log")
-    sub = arc_cut(net, cut_vals, threshold)
+            vals = np.where(np.isin(np.arange(net.m), result.floored),
+                            -math.inf, vals)
+    sub = arc_cut(net, ArcWeights(vals, result.arc.mode), threshold)
     files = {"cut.net": write_subnetwork(sub, result.arc)}
     sizes = sorted((len(c) for c in sub.components), reverse=True)
     text = (f"cut at {format_number(args.threshold)}: {len(sub.vertices)} "
@@ -460,6 +459,10 @@ def main(argv=None) -> int:
     except _Fail as fail:
         print(f"citeflow: error: {fail}", file=sys.stderr)
         return fail.code
+    except OverflowError:  # float() of an exact Fraction, before any write
+        print("citeflow: error: an exact fraction beyond the double range "
+              "has no float rendering; rerun with --mode log", file=sys.stderr)
+        return EXIT_OVERFLOW
     except BrokenPipeError:  # devnull takes the interpreter's final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK

@@ -72,15 +72,14 @@ def write_subnetwork(sub: Subnetwork, weights: ArcWeights | None = None) -> str:
 
 
 def _aligned(std: StandardizedNetwork, w: ArcWeights):
-    """Weight array stretched to the standardized arc list (an object array
-    of ints or Fractions in exact mode), and the mode.
+    """Weight array stretched to the standardized arc list, and the mode.
 
-    Flow-method vectors already line up.  Vectors computed on the original
-    network (closure methods) get weight 0 on the auxiliary s/t arcs and the
-    feedback arc, which keeps the traversals well-defined.
+    Flow-method vectors already line up and come back as they are.  Vectors
+    computed on the original network (closure methods) get weight 0 on the
+    auxiliary s/t arcs and the feedback arc, which keeps the traversals
+    well-defined.
     """
-    vals = np.array(w.values, dtype=object if w.mode == "exact"
-                    else np.float64)
+    vals = w.values
     if len(w) == std.base.m:
         return vals, w.mode
     if len(w) == std.original_m:
@@ -173,15 +172,16 @@ def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
 
 # --- arc cut ---
 
+def _values(w) -> np.ndarray:
+    """ArcWeights values as they are, other sequences as Python numbers."""
+    return w.values if isinstance(w, ArcWeights) else np.fromiter(w, object)
+
+
 def arc_cut(net: Network, w: ArcWeights, threshold) -> Subnetwork:
     """Keep arcs with weight >= threshold, drop vertices the cut isolates."""
     if len(w) != net.m:
         raise ValueError("weight vector does not match arc count")
-    if isinstance(w, ArcWeights) and w.mode != "exact":  # one array compare
-        at = np.flatnonzero(w.values >= threshold)
-    else:
-        at = np.array([i for i, v in enumerate(w) if v >= threshold],
-                      dtype=np.int64)
+    at = np.flatnonzero(_values(w) >= threshold)
     verts = np.unique(np.r_[net.tails[at], net.heads[at]])
     roots = _forest(net.n, net.tails[at], net.heads[at])[1][verts]
     order = np.argsort(roots, kind="stable")  # by smallest member, then id
@@ -250,9 +250,7 @@ def islands(net: Network, w: ArcWeights, min_size: int = 2,
     if min_size < 1 or max_size < min_size:
         raise ValueError("need 1 <= min_size <= max_size")
 
-    vals = w.values if isinstance(w, ArcWeights) else w
-    if not (isinstance(vals, np.ndarray) and vals.dtype.kind == "f"):
-        vals = np.array(list(vals), dtype=object)  # compared as Python numbers
+    vals = _values(w)
     if np.any(vals != vals):
         raise ValueError("island weights must not be NaN")
     # an ascending stable sort of the reversed arcs, read backwards, ranks by

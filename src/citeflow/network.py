@@ -31,8 +31,9 @@ MODES: tuple[str, ...] = ("float", "exact", "log")
 class ArcWeights:
     """Per-arc weight vector aligned with a network's arc order.
 
-    `values` is a numpy float array in "float"/"log" mode, or a tuple of ints
-    (or Fractions, after normalization) in "exact" mode.
+    `values` is a read-only 1-D numpy array in every mode: float64 in
+    "float" and "log" mode, object (Python ints, or Fractions after
+    normalization or aging) in "exact" mode.
     """
 
     __slots__ = ("values", "mode")
@@ -40,12 +41,11 @@ class ArcWeights:
     def __init__(self, values, mode: Mode = "float"):
         if mode not in MODES:
             raise ValueError(f"unknown numeric mode: {mode!r}")
-        if mode == "exact":
-            self.values = tuple(values)
-        else:
-            arr = np.asarray(values, dtype=np.float64)
-            arr.flags.writeable = False
-            self.values = arr
+        self.values = np.asarray(  # a view: the caller's array stays as is
+            values, dtype=object if mode == "exact" else np.float64).view()
+        self.values.flags.writeable = False
+        if self.values.ndim != 1:
+            raise ValueError("weights must be a flat sequence of numbers")
         self.mode = mode
 
     def __len__(self) -> int:
@@ -58,8 +58,6 @@ class ArcWeights:
         return iter(self.values)
 
     def tolist(self) -> list:
-        if self.mode == "exact":
-            return list(self.values)
         return self.values.tolist()
 
     def __repr__(self) -> str:

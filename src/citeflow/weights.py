@@ -47,10 +47,11 @@ class WeightResult:
     `arc` is aligned with the arcs of the network the method ran on: the
     standardized network (feedback arc included) for spc/splc/spnp, the plain
     network for nppc/sum.  `vertex` follows the same vertex universe (s and t
-    carry the total flow for the flow methods); sum has no vertex weights.
-    `total_flow` is the feedback arc's weight - the number of counted paths -
-    and is None for the closure methods.  In log mode every value, total flow
-    included, is a natural logarithm.
+    carry the total flow for the flow methods): an array of the same dtype
+    as `arc.values` for the flow methods, a tuple of ints for nppc, None for
+    sum.  `total_flow` is the feedback arc's weight - the number of counted
+    paths - as a Python number, and is None for the closure methods.  In log
+    mode every value, total flow included, is a natural logarithm.
     """
 
     method: str
@@ -75,7 +76,8 @@ _RINGS = {
 def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
                  alpha: float, mode: Mode):
     """Two stage sweeps over the input network's arcs; returns (arc values,
-    vertex values, total flow), all aligned with the standardized network.
+    vertex values, total flow), all aligned with the standardized network:
+    two arrays of the mode's ring dtype and a Python number.
 
     fwd[v] counts the paths ending at v, bwd[v] those starting at v, each
     arc on them damped by `alpha`.  A path starts at a vertex linked to s:
@@ -114,16 +116,13 @@ def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
         bwd[s], bwd[t] = linked(bwd, to_s, minimal), one
         arc = times(fwd[base.tails], bwd[base.heads])
         vertex = times(fwd[1:], bwd[1:])
-    total = fwd[t]
-    arc[std.feedback_arc] = total
-    if mode == "exact":
-        return tuple(arc.tolist()), tuple(vertex.tolist()), total
+    arc[std.feedback_arc] = fwd[t]
     if mode == "float" and not (np.all(np.isfinite(arc))
                                 and np.all(np.isfinite(vertex))):
         raise WeightOverflowError(
             "path counts exceed the double range; rerun in mode='exact' "
             "or mode='log'")
-    return arc, vertex, float(total)
+    return arc, vertex, fwd[t:t + 1].tolist()[0]  # a Python number
 
 
 def _wrap(method, arc, vertex, total, mode, alpha=None) -> WeightResult:
@@ -196,9 +195,9 @@ def nppc(net: Network) -> WeightResult:
     bounded by n*n/4.
     """
     anc, desc = _closures(net)
-    arc = (anc[net.tails] * desc[net.heads]).tolist()
-    vertex = tuple((anc[1:] * desc[1:]).tolist())
-    return WeightResult("NPPC", ArcWeights(arc, "exact"), vertex, None)
+    arc = ArcWeights(anc[net.tails] * desc[net.heads], "exact")
+    return WeightResult("NPPC", arc, tuple((anc[1:] * desc[1:]).tolist()),
+                        None)
 
 
 def sum_weights(net: Network, normalized: bool = False) -> WeightResult:
@@ -209,10 +208,9 @@ def sum_weights(net: Network, normalized: bool = False) -> WeightResult:
     """
     anc, desc = _closures(net)
     raw = anc[net.tails] + desc[net.heads]
-    if normalized:
-        values = ArcWeights(raw / net.n, "float")
-        return WeightResult("SUM", values, None, None, normalized=True)
-    return WeightResult("SUM", ArcWeights(raw.tolist(), "exact"), None, None)
+    arc = (ArcWeights(raw / net.n, "float") if normalized
+           else ArcWeights(raw, "exact"))
+    return WeightResult("SUM", arc, None, None, normalized=normalized)
 
 
 # --- path polynomials and aged counts ---
@@ -239,22 +237,25 @@ class PathPolynomials:
 
 
 def path_polynomials(std: StandardizedNetwork) -> PathPolynomials:
-    order = [std.s, *_dag_levels(std.net)[1].tolist(), std.t]
-    pm = _polys(std.base, order, source=std.s, backward=False)
-    pp = _polys(std.base, order, source=std.t, backward=True)
-    return PathPolynomials(pm, pp)
+    base, s, t = std.base, std.s, std.t
+    # over the input's arcs; the (u, t) links close t, the (s, u) links s
+    pm = _polys(std.net, base.tails[base.heads == t], backward=False)
+    pp = _polys(std.net, base.heads[base.tails == s], backward=True)
+    return PathPolynomials(pm[:-1] + ((),) + pm[-1:], pp + ((),))
 
 
-def _polys(base, order, source, backward):
-    ends = (base.heads if backward else base.tails).tolist()
-    arcs_of = base.out_arcs if backward else base.in_arcs
-    polys: list[list[int]] = [[] for _ in range(base.n + 1)]
-    for v in (reversed(order) if backward else order):
-        if v == source:  # zero polynomial; its one arc this way is (t, s)
-            continue
+def _polys(net, linked, backward):
+    """Tallies of the vertices 1..n in topological order (reversed when
+    `backward`), then of the closing end n+1 over the `linked` vertices:
+    [1] (no arc), then the summed tallies of the in-arcs' tails (heads)."""
+    order = _dag_levels(net)[1].tolist()
+    ends = net.heads if backward else net.tails
+    arcs_of = net.out_arcs if backward else net.in_arcs
+    polys: list[list[int]] = [[] for _ in range(net.n + 2)]
+    for v in [*(reversed(order) if backward else order), net.n + 1]:
         acc: list[int] = []
-        for ai in arcs_of(v).tolist():
-            p = polys[ends[ai]]
+        for u in (linked if v > net.n else ends[arcs_of(v)]).tolist():
+            p = polys[u]
             if len(acc) < len(p):
                 acc.extend([0] * (len(p) - len(acc)))
             for k, c in enumerate(p):
@@ -291,23 +292,13 @@ def normalize(result: WeightResult) -> WeightResult:
     if total is None:
         raise ValueError(f"{result.method} weights carry no total flow")
     mode = result.arc.mode
-    if mode == "log":
-        if not math.isfinite(total):
-            raise ValueError("total flow is zero; nothing to normalize")
-        arc = result.arc.values - total
-        vertex = result.vertex - total
-    elif mode == "exact":
-        if total <= 0:
-            raise ValueError("total flow is zero; nothing to normalize")
-        arc = tuple(Fraction(v) / total for v in result.arc)
-        vertex = tuple(Fraction(v) / total for v in result.vertex)
-    else:
-        if total <= 0:
-            raise ValueError("total flow is zero; nothing to normalize")
-        arc = result.arc.values / total
-        vertex = result.vertex / total
-    return replace(result, arc=ArcWeights(arc, mode), vertex=vertex,
-                   normalized=True)
+    if not (math.isfinite(total) if mode == "log" else total > 0):
+        raise ValueError("total flow is zero; nothing to normalize")
+    if mode == "exact":
+        total = Fraction(total)  # int / int would give a float
+    op = np.subtract if mode == "log" else np.divide
+    return replace(result, arc=ArcWeights(op(result.arc.values, total), mode),
+                   vertex=op(result.vertex, total), normalized=True)
 
 
 def log_transform(result: WeightResult) -> WeightResult:
@@ -315,20 +306,29 @@ def log_transform(result: WeightResult) -> WeightResult:
 
     Weight order is preserved.  Zero arc weights are mapped one unit below
     the smallest positive log and their indices recorded in `floored`.
-    Log-mode results are already logarithms and pass through unchanged.
+    Exact values of any size have a logarithm.  Log-mode results are
+    already logarithms and pass through unchanged.
     """
     if result.arc.mode == "log":
         return result
-    vals = [float(v) for v in result.arc]
+    vals = result.arc.tolist()
     if any(v < 0 for v in vals):
         raise ValueError("negative weights have no logarithm")
     pos = [v for v in vals if v > 0]
-    floor = math.log(min(pos)) - 1.0 if pos else -1.0
+    floor = _ln(min(pos)) - 1.0 if pos else -1.0
     floored = tuple(i for i, v in enumerate(vals) if v == 0)
-    arc = np.array([math.log(v) if v > 0 else floor for v in vals])
-    vertex = result.vertex
-    if vertex is not None:
-        vv = [float(v) for v in vertex]
-        vertex = np.array([math.log(v) if v > 0 else floor for v in vv])
-    return replace(result, arc=ArcWeights(arc, "log"), vertex=vertex,
+
+    def logs(values):
+        return np.array([_ln(v) if v > 0 else floor for v in values])
+
+    vertex = None if result.vertex is None else logs(result.vertex)
+    return replace(result, arc=ArcWeights(logs(vals), "log"), vertex=vertex,
                    floored=floored)
+
+
+def _ln(v) -> float:
+    """math.log(v), also of a Fraction beyond the double range."""
+    try:
+        return math.log(v)
+    except (OverflowError, ValueError):
+        return math.log(v.numerator) - math.log(v.denominator)

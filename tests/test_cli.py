@@ -385,6 +385,48 @@ def test_aged_overflow_exit_code(tmp_path, capsys):
     assert "rerun in mode=" in capsys.readouterr().err
 
 
+def test_exact_median_keeps_every_digit(tmp_path, capsys):
+    # 4120 arcs, each on half of the 2**1030 paths
+    path = tmp_path / "deep.net"
+    path.write_text(write_pajek(_diamond_chain(1030)))
+    assert run(["weights", path, "--mode", "exact",
+                "--out", tmp_path / "o"]) == 0
+    half = str(2 ** 1029)
+    assert f"min {half}  median {half}  max {half}" in capsys.readouterr().out
+
+
+def test_exact_log_beyond_the_double_range(tmp_path, capsys):
+    path = tmp_path / "deep.net"
+    path.write_text(write_pajek(_diamond_chain(1030)))
+    assert run(["weights", path, "--mode", "exact", "--log",
+                "--out", tmp_path / "o"]) == 0
+    capsys.readouterr()
+    assert set(_arc_rows(tmp_path / "o" / "spc.net").values()) == {
+        repr(math.log(2 ** 1029))}
+
+
+def _wide_diamond_chain(blocks, width):
+    """`blocks` diamonds in a row, each `width` parallel two-arc paths."""
+    arcs, a = [], 1
+    for _ in range(blocks):
+        for mid in range(a + 1, a + width + 1):
+            arcs += [(a, mid), (mid, a + width + 1)]
+        a += width + 1
+    return Network(a, arcs)
+
+
+def test_unrenderable_exact_fractions_exit_code(tmp_path, capsys):
+    # aged counts near 16**520 * 0.5**1040: fractions far beyond a double
+    path = tmp_path / "wide.net"
+    path.write_text(write_pajek(_wide_diamond_chain(520, 16)))
+    out = tmp_path / "o"
+    assert run(["weights", path, "--method", "spnp", "--mode", "exact",
+                "--alpha", "0.5", "--out", out]) == 5
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--mode log" in err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         run(["--version"])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,24 @@ def test_arc_weights_float_is_read_only():
     assert isinstance(w.values, np.ndarray)
     with pytest.raises(ValueError):
         w.values[0] = 99.0
+
+
+@pytest.mark.parametrize("mode, values, dtype", [
+    ("float", np.array([1.0, 2.0]), np.float64),
+    ("log", [0.0, -np.inf], np.float64),
+    ("exact", np.array([2 ** 40, 3]), object),
+    ("exact", [2 ** 1029, Fraction(1, 3)], object)])
+def test_arc_weights_are_read_only_arrays_in_every_mode(mode, values, dtype):
+    w = ArcWeights(values, mode)
+    assert isinstance(w.values, np.ndarray) and w.values.dtype == dtype
+    assert w.values.shape == (2,)
+    with pytest.raises(ValueError):
+        w.values[0] = 99
+    # exact values are Python numbers, never numpy integers
+    assert all(type(v) in (float, int, Fraction) for v in w.tolist())
+    assert w.tolist() == list(values)
+    if isinstance(values, np.ndarray):
+        values[0] = 5  # the caller's array is not frozen
 
 
 def test_labels_reject_mapping():

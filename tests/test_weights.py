@@ -270,6 +270,7 @@ def test_sweeps_cache_nothing_on_the_standard_form():
     main_path(std, w, single=True)
     nppc(net)
     sum_weights(net)
+    path_polynomials(std)
     assert std.base._memos == {}
     # the input's CSR, levels and schedule, one of each per direction
     assert sorted(net._memos) == sorted(
