@@ -46,60 +46,60 @@ class Partition:
 
 
 def strong_components(net: Network) -> Partition:
-    """Tarjan's algorithm, iterative.  Classes are numbered 1..k in order of
-    their smallest member, so the labelling is deterministic."""
+    """Tarjan's algorithm, iterative over the out-CSR: each vertex keeps a
+    cursor into its run of successors.  Classes are numbered 1..k in order
+    of their smallest member, so the labelling is deterministic."""
     n = net.n
-    index = [0] * (n + 1)        # 0 = unvisited
+    ptr, idx = net._adjacency()
+    succ, bound = memoryview(net.heads[idx]), memoryview(ptr)
+    cursor = memoryview(ptr.copy())
+    index = [0] * (n + 1)  # 0 = unvisited, n + 1 = in a finished class
     low = [0] * (n + 1)
-    on_stack = [False] * (n + 1)
-    stack: list[int] = []
     comp = [0] * (n + 1)
-    counter = 1
-    ncomp = 0
-
+    stack: list[int] = []
+    counter = ncomp = 0
     for root in range(1, n + 1):
         if index[root]:
             continue
-        # explicit DFS stack: (vertex, iterator over successors)
-        work = [(root, iter(net.successors(root).tolist()))]
-        index[root] = low[root] = counter
         counter += 1
+        index[root] = low[root] = counter
         stack.append(root)
-        on_stack[root] = True
+        work = [root]
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
+            v = work[-1]
+            i, stop, lv = cursor[v], bound[v + 1], low[v]
+            w = 0
+            while i < stop:  # scan to the first unvisited successor
+                w = succ[i]
+                i += 1
                 if not index[w]:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(net.successors(w).tolist())))
-                    advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
+                if index[w] < lv:
+                    lv = index[w]
+            cursor[v], low[v] = i, lv
+            if w and not index[w]:
+                counter += 1
+                index[w] = low[w] = counter
+                stack.append(w)
+                work.append(w)
                 continue
             work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
+            if work and lv < low[work[-1]]:
+                low[work[-1]] = lv
+            if lv == index[v]:
                 ncomp += 1
                 while True:
                     w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
+                    index[w], comp[w] = n + 1, ncomp
                     if w == v:
                         break
 
     # renumber classes by smallest member
-    remap: dict[int, int] = {}
-    for v in range(1, n + 1):
-        remap.setdefault(comp[v], len(remap) + 1)
-    return Partition(tuple(remap[comp[v]] for v in range(1, n + 1)), ncomp)
+    comp = np.array(comp)
+    first = np.sort(np.unique(comp[1:], return_index=True)[1]) + 1
+    label = np.zeros(ncomp + 1, dtype=np.int64)
+    label[comp[first]] = np.arange(1, ncomp + 1)
+    return Partition(tuple(memoryview(label[comp[1:]])), ncomp)
 
 
 # --- repairs ---
@@ -171,6 +171,7 @@ def topological_order(net: Network) -> TopologicalOrder:
     Raises CycleError (with a witness vertex) if the network has a cycle;
     a loop counts as a cycle.
     """
+    _dag_levels(net)
     n = net.n
     indeg = np.bincount(net.heads, minlength=n + 1).tolist()
     ready = [v for v in range(1, n + 1) if indeg[v] == 0]  # sorted: a heap
@@ -182,30 +183,29 @@ def topological_order(net: Network) -> TopologicalOrder:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
-    if len(order) < n:
-        remaining = {v for v in range(1, n + 1) if indeg[v] > 0}
-        raise CycleError(_cycle_witness(net, remaining, False))
     position = np.argsort(order) + 1  # rank of each vertex 1..n
     return TopologicalOrder(tuple(order), tuple(position.tolist()))
 
 
 def _levels(net: Network, reverse: bool = False):
-    """Longest-path depth of every vertex from the in-degree-0 frontier.
+    """Longest-path depth of every vertex from the in-degree-0 frontier,
+    and the one acyclicity test: the network is acyclic iff len(order) == n.
 
     Frontier-batched Kahn sweep: level(v) = length of the longest arc path
     from any source to v.  With `reverse` the arcs are walked backwards.
-    Returns (level array indexed 1..n with -1 for vertices stuck on cycles,
-    vertex order as one flat array, acyclic flag, witness vertex or None),
-    computed once per direction and kept on `net`; the arrays are read-only.
+    Returns (level array indexed 0..n, -1 at index 0 and at the vertices
+    Kahn's algorithm leaves over, which lie on a cycle or after one; the
+    vertices it emptied, frontier by frontier, as one flat array), computed
+    once per direction and kept on `net`; the arrays are read-only.
     """
     return net._memo(_level_sweep, reverse)
 
 
 def _dag_levels(net: Network, reverse: bool = False):
     """(level, order) of `_levels`; raises CycleError on a cycle."""
-    level, order, ok, witness = _levels(net, reverse)
-    if not ok:
-        raise CycleError(witness)
+    level, order = _levels(net, reverse)
+    if len(order) < net.n:
+        raise CycleError(_cycle_witness(net, level < 0, reverse))
     return level, order
 
 
@@ -217,11 +217,10 @@ def _level_sweep(net: Network, reverse):
     level = np.full(n + 1, -1, dtype=np.int64)
     frontier = np.flatnonzero(indeg[1:] == 0) + 1
     parts: list[np.ndarray] = []
-    lev = done = 0
+    lev = 0
     while frontier.size:
         level[frontier] = lev
         parts.append(frontier)
-        done += frontier.size
         cand, hits = np.unique(heads[_gather(ptr, arcs, frontier)],
                                return_counts=True)
         indeg[cand] -= hits
@@ -229,10 +228,7 @@ def _level_sweep(net: Network, reverse):
         lev += 1
     order = (np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
     level.flags.writeable = order.flags.writeable = False
-    if done < n:
-        remaining = {v for v in range(1, n + 1) if level[v] < 0}
-        return level, order, False, _cycle_witness(net, remaining, reverse)
-    return level, order, True, None
+    return level, order
 
 
 def _gather(ptr: np.ndarray, arcs: np.ndarray, verts: np.ndarray):
@@ -243,23 +239,22 @@ def _gather(ptr: np.ndarray, arcs: np.ndarray, verts: np.ndarray):
     return arcs[at + np.arange(len(at))]
 
 
-def _cycle_witness(net, remaining, reverse) -> int:
-    """Walk predecessors (successors with `reverse`) inside `remaining`
-    until a vertex repeats; every vertex left over by Kahn's algorithm has
-    one there."""
+def _cycle_witness(net, stuck: np.ndarray, reverse) -> int:
+    """A vertex on a cycle, given the mask `stuck` (indexed 0..n; index 0,
+    no vertex, is skipped) of the vertices Kahn's algorithm left over.
+
+    From the smallest stuck vertex, walk to the first predecessor
+    (successor with `reverse`) that is stuck, until a vertex repeats: every
+    stuck vertex has such a neighbour, and the walk is finite.
+    """
     arcs_of = net.out_arcs if reverse else net.in_arcs
     ends = net.heads if reverse else net.tails
-    v = min(remaining)
+    v = int(np.flatnonzero(stuck[1:])[0]) + 1
     seen: set[int] = set()
     while v not in seen:
         seen.add(v)
-        for ai in arcs_of(v).tolist():
-            u = int(ends[ai])
-            if u in remaining:
-                v = u
-                break
-        else:  # pragma: no cover
-            return v
+        near = ends[arcs_of(v)]
+        v = int(near[stuck[near]][0])
     return v
 
 
@@ -319,7 +314,7 @@ def _sweep(c: np.ndarray, sched, far: np.ndarray, plus, times=None,
 
 
 def is_acyclic(net: Network) -> bool:
-    return _levels(net)[2]
+    return len(_levels(net)[1]) == net.n
 
 
 # --- standard form ---

@@ -9,8 +9,9 @@ aside).
 
 Exit codes: 0 success, 2 bad arguments, 3 unreadable or malformed input,
 4 cyclic input where an acyclic one is required, 5 numeric overflow (float
-counts, or an exact fraction with no float rendering).  Exit 0 also when
-stdout's reader leaves early (`| head`): files are written first.
+counts under --mode float, or an exact fraction with no float rendering).
+Exit 0 also when stdout's reader leaves early (`| head`): files are
+written first.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ EXIT_CYCLIC = 4
 EXIT_OVERFLOW = 5
 
 METHODS = ("spc", "splc", "spnp", "nppc", "sum")
-LARGE_M = 10 ** 6  # above this, numeric mode defaults to log
 
 
 class _Fail(Exception):
@@ -73,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="weighting method (default: spc)")
     wm.add_argument("--mode", choices=MODES, default=None,
                     help="numeric mode of spc, splc and spnp, aged or not "
-                         "(default float, log above a million arcs); nppc "
-                         "and sum are exact")
+                         "(default float, rerun in log if float overflows); "
+                         "nppc and sum are exact")
     wm.add_argument("--alpha", type=float, default=None, metavar="A",
                     help="aging factor in (0,1] for spnp path counting, in "
                          "any --mode")
@@ -155,20 +155,15 @@ def _acyclic_or_repair(net: Network, strategy: str | None) -> tuple[Network, str
         raise _Fail(EXIT_CYCLIC,
                     "input network is cyclic; rerun with --repair shrink "
                     "or --repair preprint")
-    net = remove_loops(net)
-    if strategy == "shrink":
+    if strategy == "shrink":  # drops loops with every intra-class arc
         return shrink_components(net), "shrink"
-    return preprint_transform(net), "preprint"
+    return preprint_transform(remove_loops(net)), "preprint"
 
 
-def _resolve_mode(mode: str | None, m: int) -> str:
-    if mode is not None:
-        return mode
-    return "log" if m > LARGE_M else "float"
-
-
-def _compute(net: Network, method: str, mode: str, alpha: float | None):
-    """Run one weighting method; returns (standardized | None, result)."""
+def _compute(net: Network, method: str, mode: str | None,
+             alpha: float | None):
+    """Run one weighting method; returns (standardized | None, result).
+    Without a mode, float counts that overflow are rerun in log mode."""
     if alpha is not None and method != "spnp":
         raise _Fail(EXIT_USAGE, "--alpha applies to --method spnp only")
     if method == "nppc":
@@ -176,13 +171,20 @@ def _compute(net: Network, method: str, mode: str, alpha: float | None):
     if method == "sum":
         return None, sum_weights(net)
     std = standardize(net)
-    try:
+
+    def counts(mode: str):
         if alpha is not None:
-            return std, aged_path_counts(std, alpha, mode)
-        fn = {"spc": spc, "splc": splc, "spnp": spnp}[method]
-        return std, fn(std, mode)
+            return aged_path_counts(std, alpha, mode)
+        return {"spc": spc, "splc": splc, "spnp": spnp}[method](std, mode)
+
+    try:
+        return std, counts(mode or "float")
     except WeightOverflowError as exc:
-        raise _Fail(EXIT_OVERFLOW, str(exc)) from exc
+        if mode is not None:
+            raise _Fail(EXIT_OVERFLOW, str(exc)) from exc
+    print("citeflow: float counts exceed the double range; running in log "
+          "mode", file=sys.stderr)
+    return std, counts("log")
 
 
 def _jsonable(value):
@@ -244,15 +246,14 @@ def _cmd_stats(args) -> int:
 
 def _cmd_repair(args) -> int:
     raw, net = _load(args.input)
-    part = strong_components(net)
-    loopless = remove_loops(net)
-    fixed = (shrink_components if args.strategy == "shrink"
-             else preprint_transform)(loopless, part)  # loops keep the SCCs
+    part = strong_components(net)  # loops keep the SCCs
+    fixed = (shrink_components(net, part) if args.strategy == "shrink"
+             else preprint_transform(remove_loops(net), part))
     nontrivial = sum(1 for size in part.sizes() if size > 1)
     lines = [f"strategy            {args.strategy}",
              f"vertices            {net.n} -> {fixed.n}",
              f"arcs                {net.m} -> {fixed.m}",
-             f"loops removed       {net.m - loopless.m}",
+             f"loops removed       {np.count_nonzero(net.tails == net.heads)}",
              f"components (>1)     {nontrivial}",
              f"acyclic             {is_acyclic(fixed)}"]
     files = {"acyclic.net": write_pajek(fixed),
@@ -273,8 +274,7 @@ def _weighted(args):
     raw, net = _load(args.input)
     net = simplify(net)
     net, repaired = _acyclic_or_repair(net, args.repair)
-    std, result = _compute(net, args.method, _resolve_mode(args.mode, net.m),
-                           args.alpha)
+    std, result = _compute(net, args.method, args.mode, args.alpha)
     mode = result.arc.mode  # what ran: nppc and sum are always exact
     try:
         if args.normalize:

@@ -53,22 +53,21 @@ def hits(net: Network, tolerance: float = 1e-12,
     """
     if net.m == 0:
         raise ValueError("hub and authority scores need at least one arc")
-    pairs = np.unique(np.stack([net.tails, net.heads], axis=1), axis=0)
-    cited = pairs[:, 0] - 1   # receives authority
-    citing = pairs[:, 1] - 1  # receives hub
+    n = net.n
+    pairs = np.unique(net.tails * (n + 1) + net.heads)  # by (tail, head)
+    cited = pairs // (n + 1) - 1    # receives authority
+    citing = pairs % (n + 1) - 1    # receives hub
 
-    hub = np.ones(net.n)
+    hub = np.ones(n)
     hub /= np.linalg.norm(hub)
     auth = hub.copy()
     residual = np.inf
     for rounds in range(1, max_iter + 1):
-        new_auth = np.zeros(net.n)
-        np.add.at(new_auth, cited, hub[citing])
+        new_auth = np.bincount(cited, hub[citing], n)
         norm = np.linalg.norm(new_auth)
         if norm > 0.0:
             new_auth /= norm
-        new_hub = np.zeros(net.n)
-        np.add.at(new_hub, citing, auth[cited])
+        new_hub = np.bincount(citing, auth[cited], n)
         norm = np.linalg.norm(new_hub)
         if norm > 0.0:
             new_hub /= norm

@@ -44,8 +44,8 @@ def network_stats(net: Network) -> NetworkStats:
     part = strong_components(net)
     scc_counts = Counter(size for size in part.sizes() if size >= 2)
 
-    level, _, ok, _ = _levels(net)
-    if not ok:  # the condensation of any digraph is acyclic
+    level, order = _levels(net)
+    if len(order) < n:  # the condensation of any digraph is acyclic
         level = _levels(shrink_components(net, part))[0]
     depth = int(level.max()) + 1 if n else 0
 

@@ -366,3 +366,34 @@ def main_path_reference(std, w, single=False):
     keep = tuple(sorted(ai for ai in chosen if ai < std.original_m))
     verts = frozenset(visited - {std.s, std.t})
     return keep, verts
+
+
+def hits_reference(net, tolerance=1e-12, max_iter=1000):
+    """(hub, authority, rounds, residual, converged) of the HITS power
+    iteration with one np.add.at scatter per half-step over the distinct
+    (tail, head) rows of np.unique(axis=0)."""
+    import numpy as np
+
+    pairs = np.unique(np.stack([net.tails, net.heads], axis=1), axis=0)
+    cited, citing = pairs[:, 0] - 1, pairs[:, 1] - 1
+    hub = np.ones(net.n)
+    hub /= np.linalg.norm(hub)
+    auth = hub.copy()
+    residual = np.inf
+    for rounds in range(1, max_iter + 1):
+        new_auth = np.zeros(net.n)
+        np.add.at(new_auth, cited, hub[citing])
+        norm = np.linalg.norm(new_auth)
+        if norm > 0.0:
+            new_auth /= norm
+        new_hub = np.zeros(net.n)
+        np.add.at(new_hub, citing, auth[cited])
+        norm = np.linalg.norm(new_hub)
+        if norm > 0.0:
+            new_hub /= norm
+        residual = max(float(np.linalg.norm(new_auth - auth)),
+                       float(np.linalg.norm(new_hub - hub)))
+        auth, hub = new_auth, new_hub
+        if residual < tolerance:
+            return hub, auth, rounds, residual, True
+    return hub, auth, max_iter, residual, False

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import citeflow.acyclic as acyclic_mod
 from citeflow import (CycleError, Network, complete_acyclic, depths,
-                      is_acyclic, preprint_transform, random_dag,
-                      remove_loops, shrink_components, standardize,
+                      is_acyclic, network_stats, preprint_transform,
+                      random_dag, remove_loops, shrink_components, standardize,
                       strong_components, topological_order)
+from citeflow.acyclic import _dag_levels
 
 import oracles
 from conftest import arcs_of, rand_instance, random_multigraph
@@ -54,6 +56,111 @@ def test_loops_do_not_change_strong_components(seed):
     assert strong_components(loopless) == part
     assert preprint_transform(loopless, part) == preprint_transform(loopless)
     assert shrink_components(loopless, part) == shrink_components(loopless)
+
+
+def _nx_classes(net):
+    nx = pytest.importorskip("networkx")
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(range(1, net.n + 1))
+    g.add_edges_from(arcs_of(net))
+    return {frozenset(c) for c in nx.strongly_connected_components(g)}
+
+
+def _classes(part):
+    """The partition's classes as vertex sets, after checking that ids run
+    1..k in order of each class's smallest member."""
+    members: dict[int, list[int]] = {}
+    for v, cls in enumerate(part.class_of, start=1):
+        members.setdefault(cls, []).append(v)
+    assert list(members) == list(range(1, part.class_count + 1))
+    return {frozenset(vs) for vs in members.values()}
+
+
+def _relabelled(net, seed):
+    """The same network with vertex v renamed perm[v] and arcs shuffled."""
+    rng = np.random.default_rng(seed)
+    perm = np.r_[0, rng.permutation(net.n) + 1]
+    arcs = rng.permutation(net.m)
+    return Network.from_arrays(net.n, perm[net.tails][arcs],
+                               perm[net.heads][arcs])
+
+
+def _multigraph(seed, n, m):
+    """Sparse digraph with loops, parallel arcs and mutual pairs."""
+    rng = np.random.default_rng(seed)
+    tails = rng.integers(1, n + 1, m)
+    heads = rng.integers(1, n + 1, m)
+    loops = rng.integers(1, n + 1, m // 20)
+    return Network.from_arrays(n, np.r_[tails, heads[:m // 10], loops,
+                                        tails[:m // 10]],
+                               np.r_[heads, tails[:m // 10], loops,
+                                     heads[:m // 10]])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_strong_components_match_networkx(seed):
+    nets = [random_multigraph(seed), planted_cycles(seed),
+            _multigraph(seed, 300, 330 + 40 * seed)]
+    for net in nets + [_relabelled(net, seed) for net in nets]:
+        assert _classes(strong_components(net)) == _nx_classes(net)
+
+
+def test_strong_components_on_a_long_cycle():
+    n = 20_000
+    ring = Network.from_arrays(n, np.arange(1, n + 1), np.r_[2:n + 1, 1])
+    for net in (ring, _relabelled(ring, 7)):
+        part = strong_components(net)
+        assert part.class_count == 1 and set(part.class_of) == {1}
+        assert _classes(part) == _nx_classes(net)
+
+
+def _on_cycle(net, v):
+    return any(v in c and (len(c) > 1 or (v, v) in arcs_of(net))
+               for c in _nx_classes(net))
+
+
+# an acyclic prefix 1 -> 2 before the cycle 3 -> 4 -> 5 -> 3, then 6
+PREFIXED = Network(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6),
+                       (7, 6)])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cycle_witness_lies_on_a_cycle(seed):
+    nets = [PREFIXED, Network(3, [(1, 2), (2, 2), (2, 3)]),
+            planted_cycles(seed), _multigraph(seed, 40, 45)]
+    for net in nets:
+        if is_acyclic(net):
+            continue
+        for call in (standardize, topological_order,
+                     lambda net: _dag_levels(net, True)):
+            with pytest.raises(CycleError) as err:
+                call(net)
+            assert _on_cycle(net, err.value.vertex)
+
+
+def test_cycle_witness_skips_an_acyclic_prefix():
+    with pytest.raises(CycleError) as err:
+        topological_order(PREFIXED)
+    assert err.value.vertex in (3, 4, 5)
+
+
+def test_acyclicity_test_builds_no_witness(monkeypatch):
+    calls = []
+    witness = acyclic_mod._cycle_witness
+
+    def counted(*args):
+        calls.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(acyclic_mod, "_cycle_witness", counted)
+    net = planted_cycles(3)
+    assert not is_acyclic(net)
+    assert not is_acyclic(net.reverse())
+    network_stats(net)
+    assert calls == []
+    with pytest.raises(CycleError):
+        standardize(net)
+    assert len(calls) == 1
 
 
 # --- repairs ---

@@ -138,6 +138,23 @@ def test_overflow_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_float_overflow_without_mode_reruns_in_log(tmp_path, capsys):
+    path = tmp_path / "deep.net"
+    path.write_text(write_pajek(_diamond_chain(1030)))
+    out = tmp_path / "o"
+    assert run(["weights", path, "--out", out]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "citeflow: float counts exceed the double range; running in log mode"]
+    assert "mode         log" in captured.out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["mode"] == "log"
+    log = tmp_path / "log"
+    assert run(["weights", path, "--mode", "log", "--out", log]) == 0
+    capsys.readouterr()
+    assert (out / "spc.net").read_bytes() == (log / "spc.net").read_bytes()
+
+
 def test_runs_are_deterministic(tmp_path, diamond_file):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

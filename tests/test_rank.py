@@ -6,6 +6,7 @@ import pytest
 from citeflow import HitsScores, Network, hits, random_dag
 
 from conftest import arcs_of
+from oracles import hits_reference
 
 
 def test_star_closed_form():
@@ -71,6 +72,25 @@ def test_arc_multiplicity_is_ignored():
     a, b = hits(simple), hits(multi)
     assert np.array_equal(a.hub, b.hub)
     assert np.array_equal(a.authority, b.authority)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_matches_the_scatter_reference_bit_for_bit(seed):
+    # a multigraph with parallel arcs, loops, cycles and isolated vertices
+    rng = np.random.default_rng(seed)
+    n, m = 60, 150
+    tails = rng.integers(1, n - 4, m)  # the last vertices stay isolated
+    heads = rng.integers(1, n - 4, m)
+    net = Network.from_arrays(n, np.r_[tails, tails[:20]],
+                              np.r_[heads, heads[:20]])
+    for max_iter in (1000, 7):
+        got = hits(net, max_iter=max_iter)
+        hub, auth, rounds, residual, converged = hits_reference(
+            net, max_iter=max_iter)
+        assert np.array_equal(got.hub, hub)
+        assert np.array_equal(got.authority, auth)
+        assert (got.iterations, got.residual, got.converged) == (
+            rounds, residual, converged)
 
 
 def test_degenerate_tie_reports_not_converged(diamond):
