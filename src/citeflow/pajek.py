@@ -4,15 +4,19 @@ Supported .net grammar: one ``*Vertices n`` header, optional vertex lines
 ``id "label"`` (bare labels allowed, trailing layout fields ignored), one or
 more ``*Arcs`` sections of ``tail head [weight]`` lines, ``%`` comments and
 blank lines anywhere.  ``*Edges`` is rejected: citation networks are directed.
+A body that passes a strict check is read whole, others line by line.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
 
 from .network import ArcWeights, Network
+
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # as str.splitlines
 
 
 class PajekParseError(ValueError):
@@ -27,24 +31,30 @@ def parse_pajek(text: str) -> Network:
     """Parse .net text into a Network.
 
     Vertices without an explicit line get str(id) as label.  Parallel arcs
-    and loops are preserved exactly as given.  Each *Arcs section converts
-    in bulk with Python's int and float; a section that fails is scanned
-    line by line for the first bad line, which the error then names.
+    and loops are preserved exactly as given.  A body of plain integer arcs
+    (see _strict_arcs) or of plain ``id "label"`` lines is read whole; any
+    other is read line by line, and an error names the first bad line.
     """
-    lines = [raw.strip() for raw in text.splitlines()]
-    headers = [i for i, line in enumerate(lines) if line[:1] == "*"]
-    bounds = headers + [len(lines)]
-    for line_no, line in enumerate(lines[:bounds[0]], start=1):
-        if line and line[0] != "%":
+    flat = ("\n".join(text.splitlines())  # "\n" for every line break
+            if any(map(text.__contains__, _LINE_BREAKS[1:])) else text)
+    headers, at = [], flat.find("*")  # where each header line starts
+    while at >= 0:
+        start = flat.rfind("\n", 0, at) + 1
+        if not flat[start:at].strip():
+            headers.append(start)
+        at = flat.find("*", flat.find("\n", at) + 1 or len(flat))
+    bounds = headers + [len(flat)]
+    for line_no, line in enumerate(flat[:bounds[0]].split("\n"), start=1):
+        if line.strip()[:1] not in ("", "%"):
             raise PajekParseError("content before *Vertices header", line_no)
     if not headers:
         raise PajekParseError("missing *Vertices header",
                               max(1, text.count("\n") + 1))
     n, labels, arcs = -1, [], []  # arcs: one column triple per section
-    for at, end in zip(headers, bounds[1:]):
-        line_no, parts = at + 1, lines[at].split()
+    for at, stop in zip(headers, bounds[1:]):
+        header, _, body = flat[at:stop].partition("\n")
+        line_no, parts = flat.count("\n", 0, at) + 1, header.split()
         key = parts[0].lower()
-        body = lines[at + 1:end]
         if key == "*vertices":
             if n >= 0:
                 raise PajekParseError("duplicate *Vertices section", line_no)
@@ -58,22 +68,27 @@ def parse_pajek(text: str) -> Network:
             if n < 0:
                 raise PajekParseError("negative vertex count", line_no)
             labels = [str(v) for v in range(1, n + 1)]
-            for line_no, line in enumerate(body, start=at + 2):
-                if not line or line[0] == "%":
-                    continue
-                vid, label = _vertex_line(line, line_no)
-                if not 1 <= vid <= n:
-                    raise PajekParseError(
-                        f"vertex id {vid} out of range 1..{n}", line_no)
+            found = re.findall(  # an id of 1 to 18 digits, no leading 0
+                r'^[ \t]*(?:([1-9]\d{0,17})[ \t]+"([^"\n]*)"[ \t]*)?$', body, re.M)
+            rows = [(int(vid), label) for vid, label in found if vid]
+            if len(found) <= body.count("\n") or rows and max(rows)[0] > n:
+                rows = [_vertex_line(line, no, n) for no, line in enumerate(
+                    map(str.strip, body.split("\n")), start=line_no + 1)
+                    if line and line[0] != "%"]
+            for vid, label in rows:
                 labels[vid - 1] = label
+            del found, rows  # as large as the body: free before *Arcs
         elif key == "*arcs":
             if n < 0:
                 raise PajekParseError("*Arcs before *Vertices", line_no)
-            try:
-                arcs.append(_arc_rows([line for line in body
-                                       if line and line[0] != "%"], n))
-            except (ValueError, OverflowError):
-                _first_bad_arc(body, at + 2, n)
+            columns = _strict_arcs(body, n)
+            if columns is None:
+                lines = [line.strip() for line in body.split("\n")]
+                try:  # Python's int and float, then the first bad line
+                    columns = _arc_rows([x for x in lines if x and x[0] != "%"], n)
+                except (ValueError, OverflowError):
+                    _first_bad_arc(lines, line_no + 1, n)
+            arcs.append(columns)
         elif key == "*edges":
             raise PajekParseError(
                 "undirected *Edges are not supported; citation networks "
@@ -83,6 +98,30 @@ def parse_pajek(text: str) -> Network:
     tails, heads, weights = (map(np.concatenate, zip(*arcs)) if arcs
                              else ((),) * 3)
     return Network.from_arrays(n, tails, heads, weights, labels)
+
+
+def _strict_arcs(body: str, n: int):
+    """np.fromstring columns of an *Arcs body of plain integers, or None."""
+    data = body.encode() if body.isascii() else b"-"
+    if data.translate(None, b"0123456789 \t\n"):  # signs, dots, comments...
+        return None
+    raw = np.frombuffer(data, np.uint8)
+    edge = np.flatnonzero(np.diff(raw > 32, prepend=False, append=False))
+    if np.any(edge[1::2] - edge[::2] > 18):  # fromstring saturates 19 digits
+        return None
+    width = np.diff(np.searchsorted(edge[::2], np.flatnonzero(raw == 10)),
+                    prepend=0, append=len(edge) // 2)  # tokens per line
+    del data, raw, edge  # larger than the body: free before fromstring
+    values = np.fromstring(body, np.int64, sep=" ")
+    if len(values) != width.sum() or not np.isin(width, (0, 2, 3)).all():
+        return None  # fromstring reads a blank body as [0]
+    width = width[width > 0]
+    first = np.cumsum(width) - width  # each line's first token
+    tails, heads = values[first], values[first + 1]
+    if not np.all((0 < tails) & (tails <= n) & (0 < heads) & (heads <= n)):
+        return None
+    three = values.take(first + 2, mode="clip")  # a third token, if any
+    return tails, heads, np.where(width == 3, three, 1.0)
 
 
 def _arc_rows(rows: list[str], n: int):
@@ -130,21 +169,20 @@ def _first_bad_arc(body: list[str], first_no: int, n: int):
                 line_no)
 
 
-def _vertex_line(line: str, line_no: int) -> tuple[int, str]:
+def _vertex_line(line: str, line_no: int, n: int) -> tuple[int, str]:
     parts = line.split(None, 1)
     try:
         vid = int(parts[0])
     except ValueError:
         raise PajekParseError("vertex id is not an integer", line_no) from None
-    if len(parts) == 1:
-        return vid, str(vid)
-    rest = parts[1].lstrip()
-    if rest.startswith('"'):
-        end = rest.find('"', 1)
-        if end < 0:
-            raise PajekParseError("unterminated label quote", line_no)
-        return vid, rest[1:end]
-    return vid, rest.split()[0]
+    label = parts[1] if len(parts) == 2 else str(vid)  # quoted, or one token
+    label, quote, _ = (label[1:].partition('"') if label[:1] == '"'
+                       else (label.split()[0], '"', ""))
+    if not quote:
+        raise PajekParseError("unterminated label quote", line_no)
+    if not 1 <= vid <= n:
+        raise PajekParseError(f"vertex id {vid} out of range 1..{n}", line_no)
+    return vid, label
 
 
 # --- writers ---
@@ -153,10 +191,8 @@ def format_number(value) -> str:
     """Integral values render without a decimal point; floats use repr."""
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        value = float(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return str(value.numerator)
     value = float(value)
     if value.is_integer() and abs(value) < 1e16:
         return str(int(value))
@@ -165,9 +201,12 @@ def format_number(value) -> str:
 
 def _numbers(values) -> list[str]:
     """format_number over a column (sequence, array or ArcWeights), with
-    its rule for Python floats inlined."""
-    if hasattr(values, "tolist"):
-        values = values.tolist()
+    its float rule inlined, or cast whole for integral float64 arrays."""
+    values = values.values if isinstance(values, ArcWeights) else values
+    if getattr(values, "dtype", None) == np.float64 and np.all(
+            (np.abs(values) < 1e16) & (np.trunc(values) == values)):
+        return list(map(str, values.astype(np.int64).tolist()))
+    values = values.tolist() if hasattr(values, "tolist") else values
     return [(str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v))
             if type(v) is float else format_number(v) for v in values]
 
@@ -175,12 +214,19 @@ def _numbers(values) -> list[str]:
 def write_pajek(net: Network, weights: ArcWeights | None = None) -> str:
     """Render a Network as .net text.
 
-    `weights` overrides the stored arc weight column (same arc order).
+    `weights` overrides the stored arc weight column (same arc order).  A
+    label holding a quote is written bare; ValueError if it cannot read back.
     """
     if weights is not None and len(weights) != net.m:
         raise ValueError("weight vector does not match arc count")
+    if any(map("".join(net.labels).__contains__, '"' + _LINE_BREAKS)):
+        for label in net.labels:
+            if (any(map(label.__contains__, _LINE_BREAKS)) or label[:1] == '"'
+                    or '"' in label and label.split() != [label]):
+                raise ValueError(f"vertex label {label!r} would not read back")
     out = [f"*Vertices {net.n}"]
-    out += [f'{v} "{label}"' for v, label in enumerate(net.labels, start=1)]
+    out += [f"{v} {label}" if '"' in label else f'{v} "{label}"'
+            for v, label in enumerate(net.labels, start=1)]
     out.append("*Arcs")
     out += map("{} {} {}".format, net.tails.tolist(), net.heads.tolist(),
                _numbers(net.weights if weights is None else weights))
@@ -195,7 +241,5 @@ def write_vector(values) -> str:
 
 def write_partition(classes) -> str:
     """Render per-vertex integer class ids as .clu text."""
-    seq = [int(c) for c in classes]
-    out = [f"*Vertices {len(seq)}"]
-    out.extend(str(c) for c in seq)
-    return "\n".join(out) + "\n"
+    out = [str(int(c)) for c in classes]
+    return "\n".join([f"*Vertices {len(out)}", *out]) + "\n"

@@ -1,4 +1,7 @@
+import re
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from citeflow import (ArcWeights, Network, PajekParseError, format_number,
                       parse_pajek, write_pajek, write_partition, write_vector)
+from citeflow import pajek
 
 from conftest import arcs_of
 
@@ -112,6 +116,34 @@ def test_round_trip_weights_and_odd_labels():
     back = parse_pajek(write_pajek(net))
     assert back.weights.tolist() == [0.5, 4.0]
     assert back.label(1) == "a b"
+    assert [back.label(v) for v in (1, 2, 3)] == ["a b", 'q"q', "3"]
+
+
+@pytest.mark.parametrize("label, line", [
+    ('a"b', '1 a"b'),
+    ('a"', '1 a"'),
+    ("a b", '1 "a b"'),
+    ("", '1 ""'),
+    ("%x*", '1 "%x*"'),
+])
+def test_labels_write_so_that_they_read_back(label, line):
+    text = write_pajek(Network(1, [], [label]))
+    assert text.splitlines()[1] == line
+    assert parse_pajek(text).label(1) == label
+
+
+def test_a_parsed_bare_label_with_a_quote_survives_a_round_trip():
+    net = parse_pajek('*Vertices 2\n1 a"b\n2 "c"\n*Arcs\n1 2\n')
+    assert net.labels == ('a"b', "c")
+    assert parse_pajek(write_pajek(net)) == net
+
+
+@pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\x0bb", "a\x85b",
+                                   "a\u2028b", "end\n", '"a', '"', 'a" b',
+                                   'a"\tb', 'a\xa0"b'])
+def test_labels_that_cannot_read_back_are_refused(label):
+    with pytest.raises(ValueError, match="label"):
+        write_pajek(Network(2, [(1, 2)], ["ok", label]))
 
 
 def test_write_pajek_weight_override(chain3):
@@ -141,6 +173,25 @@ def test_write_partition():
 ])
 def test_format_number(value, text):
     assert format_number(value) == text
+
+
+@pytest.mark.parametrize("column", [
+    [0.0, -0.0, 1.0, -7.0, 3.0, 2.0 ** 53 + 2, 1e16 - 2, -(1e16 - 2)],
+    [1.0] * 5,
+    [],
+    [3.0, 1e16],
+    [3.0, 0.5],
+    [3.0, float("inf")],
+    [3.0, float("nan")],
+])
+def test_float_columns_render_like_format_number(column):
+    values = np.array(column, dtype=np.float64)
+    want = [format_number(v) for v in column]
+    assert write_vector(values).splitlines()[1:] == want
+    net = Network.from_arrays(2, np.ones(len(values)),
+                              np.full(len(values), 2), values)
+    assert write_pajek(net).splitlines()[4:] == [f"1 2 {t}" for t in want]
+    assert write_pajek(net, ArcWeights(values, "log")) == write_pajek(net)
 
 
 def test_crlf_input_parses():
@@ -237,3 +288,124 @@ def test_writers_render_arrays_like_format_number():
     exact = [v for v in CORPUS if isinstance(v, (int, Fraction))]
     assert (write_vector(ArcWeights(exact, "exact")).splitlines()[1:]
             == [format_number(v) for v in exact])
+
+
+# --- the strict array read and the line reader agree ---
+
+def _random_arcs_text(seed: int) -> str:
+    """Valid arcs of 2 and 3 fields: weights of 1 to 18 digits, some with
+    leading zeros, tabs and blank lines between the fields and lines."""
+    rng = np.random.default_rng(seed)
+    n, m = 50, 2000
+    rows = []
+    for tail, head, digits in zip(rng.integers(1, n + 1, m).tolist(),
+                                  rng.integers(1, n + 1, m).tolist(),
+                                  rng.integers(0, 19, m).tolist()):
+        fields = [str(tail), str(head)]
+        if digits:
+            fields.append(str(int(rng.integers(0, 10 ** digits))).zfill(
+                digits))
+        rows.append(str(rng.choice([" ", "\t", " \t "])).join(fields))
+        if rng.random() < 0.05:
+            rows.append(str(rng.choice(["", " ", "\t"])))
+    return f"*Vertices {n}\n*Arcs\n" + "\n".join(rows) + "\n"
+
+
+TWO_PATHS = [  # (text, whether an *Arcs section takes the array read)
+    pytest.param('*Vertices 3\n\n1 "a"\n\t\n*Arcs\n1\t2\n\n 2 3 \t4 \n\n',
+                 True, id="blanks-and-tabs"),
+    pytest.param(DIAMOND.replace("\n", "\r\n"), True, id="crlf"),
+    pytest.param(DIAMOND.replace("\n", "\r"), True, id="lone-cr"),
+    pytest.param('% head\n*Vertices 3\n% c\n1 "a"\n*Arcs\n% c\n1 2\n', False,
+                 id="comments"),
+    pytest.param("*Vertices 3\n*Arcs\n1 2\n*Arcs\n2 3 5\n\n*arcs\n3 1\n", True,
+                 id="several-arcs-sections"),
+    pytest.param("*Vertices 3\n*Arcs\n1 2\n2 3 7\n3 1\n1 3 2\n", True,
+                 id="mixed-2-and-3-fields"),
+    pytest.param("*Vertices 9\n*Arcs\n007 3 007\n", True, id="leading-zeros"),
+    pytest.param("*Vertices 9\n*Arcs\n007 3 +3\n1 2 1_0\n", False,
+                 id="sign-and-underscore"),
+    pytest.param("*Vertices 2\n*Arcs\n1 2 99999999999999999999\n", False,
+                 id="20-digit-weight"),
+    pytest.param("*Vertices 2\n*Arcs\n1 2 123456789012345678\n", True,
+                 id="18-digit-weight"),
+    pytest.param('*Vertices 5\n1 "a" 0.5 0.5\n4 bare\n2 "b"\n1 "again"\n'
+                 "*Arcs\n1 5\n", True, id="vertex-line-corners"),
+    pytest.param('*Vertices 3\n3 "\u00e9\u6f22"\n1 "\u00fc b"\n*Arcs\n1 2\n',
+                 True, id="non-ascii-labels"),
+    pytest.param('*Vertices 2\n1 "\u00e9"\n*Arcs\n1 2 \u0663\n', False,
+                 id="non-ascii-digit"),
+    pytest.param("*Vertices 3\n*Arcs\n1 2 1e-3\n2 3 inf\n3 3 -2.5E2\n", False,
+                 id="float-weights"),
+    pytest.param("*Vertices 3\n*Arcs\n\n", False, id="blank-body"),
+    pytest.param("*Vertices 3\n*Arcs", True, id="header-on-last-line"),
+    pytest.param(_random_arcs_text(1), True, id="random-arcs"),
+]
+
+
+def _parse_both_ways(text, monkeypatch):
+    strict = []
+    real = pajek._strict_arcs
+
+    def spy(body, n):
+        columns = real(body, n)
+        strict.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(pajek, "_strict_arcs", spy)
+    fast = parse_pajek(text)
+    monkeypatch.setattr(pajek, "_strict_arcs", lambda body, n: None)
+    # no plain vertex line found: every *Vertices body goes line by line
+    monkeypatch.setattr(pajek, "re", SimpleNamespace(findall=lambda *a: [],
+                                                     M=re.M))
+    return fast, parse_pajek(text), any(strict)
+
+
+@pytest.mark.parametrize("text, strict", TWO_PATHS)
+def test_strict_and_line_paths_agree(text, strict, monkeypatch):
+    fast, slow, took = _parse_both_ways(text, monkeypatch)
+    assert took == strict
+    assert fast == slow
+    assert fast.labels == slow.labels
+    assert fast.weights.tobytes() == slow.weights.tobytes()
+
+
+def test_plain_vertex_lines_skip_the_line_reader(monkeypatch):
+    def line_reader(*args):
+        raise AssertionError("plain vertex line read line by line")
+
+    monkeypatch.setattr(pajek, "_vertex_line", line_reader)
+    assert parse_pajek(DIAMOND).labels == ("a", "b", "c", "d")
+
+
+def test_twenty_digit_weight_reads_as_float_does():
+    net = parse_pajek("*Vertices 2\n*Arcs\n1 2 99999999999999999999\n")
+    assert net.weights.tolist() == [1e20]
+
+
+def test_vertex_ids_beyond_int_digit_limit_name_the_line():
+    text = "*Vertices 2\n1 \"a\"\n" + "9" * 5000 + ' "b"\n'
+    with pytest.raises(PajekParseError, match="line 3: vertex id"):
+        parse_pajek(text)
+
+
+def test_parse_peak_on_a_million_arc_lines():
+    # a reader that makes one str per token peaks at about 23 times the
+    # text on this input
+    rng = np.random.default_rng(5)
+    n, m = 50_000, 1_000_000
+    tails = rng.integers(1, n + 1, m)
+    heads = rng.integers(1, n + 1, m)
+    labels = [f"p{v}" for v in range(1, n + 1)]
+    text = "\n".join([f"*Vertices {n}",
+                      *(f'{v} "{label}"' for v, label in enumerate(labels, 1)),
+                      "*Arcs", *map("{} {}".format, tails.tolist(),
+                                    heads.tolist())]) + "\n"
+    tracemalloc.start()
+    try:
+        net = parse_pajek(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net == Network.from_arrays(n, tails, heads, None, labels)
+    assert peak <= 8 * len(text), f"peak {peak / len(text):.1f}x the text"
