@@ -221,7 +221,10 @@ def _level_sweep(net: Network, reverse):
     while frontier.size:
         level[frontier] = lev
         parts.append(frontier)
-        cand, hits = np.unique(heads[_gather(ptr, arcs, frontier)],
+        # the frontier's CSR runs: run start - run place + arc place
+        lo, count = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+        at = np.repeat(lo - np.cumsum(count) + count, count)
+        cand, hits = np.unique(heads[arcs[at + np.arange(len(at))]],
                                return_counts=True)
         indeg[cand] -= hits
         frontier = cand[indeg[cand] == 0]
@@ -229,14 +232,6 @@ def _level_sweep(net: Network, reverse):
     order = (np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
     level.flags.writeable = order.flags.writeable = False
     return level, order
-
-
-def _gather(ptr: np.ndarray, arcs: np.ndarray, verts: np.ndarray):
-    """The CSR runs (ptr, arcs) of distinct vertices `verts`, concatenated:
-    run starts repeated, plus each arc's offset within the concatenation."""
-    lo, count = ptr[verts], ptr[verts + 1] - ptr[verts]
-    at = np.repeat(lo - np.cumsum(count) + count, count)
-    return arcs[at + np.arange(len(at))]
 
 
 def _cycle_witness(net, stuck: np.ndarray, reverse) -> int:
@@ -335,7 +330,6 @@ class StandardizedNetwork:
     s: int
     t: int
     feedback_arc: int
-    added_arcs: tuple[int, ...]
 
     @property
     def original_n(self) -> int:
@@ -367,8 +361,7 @@ def standardize(net: Network) -> StandardizedNetwork:
     weights = np.r_[net.weights, np.ones(len(mins) + len(maxs) + 1)]
     labels = list(net.labels) + ["s", "t"]
     base = Network.from_arrays(t, tails, heads, weights, labels)
-    added = tuple(range(net.m, net.m + len(mins) + len(maxs)))
-    return StandardizedNetwork(net, base, s, t, base.m - 1, added)
+    return StandardizedNetwork(net, base, s, t, base.m - 1)
 
 
 # --- depths ---

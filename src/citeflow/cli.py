@@ -113,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cut", parents=[io, wm],
                        help="subnetwork of arcs at or above a weight threshold")
     p.add_argument("--threshold", type=float, required=True, metavar="T",
-                   help="keep arcs with weight >= T, in linear units in "
-                        "every mode (log-scale weights are cut at ln T)")
+                   help="keep arcs with weight >= T or tied with it, in "
+                        "linear units in every mode (log weights: ln T)")
 
     p = sub.add_parser("islands", parents=[io, wm],
                        help="maximal locally heavy clusters")
@@ -338,16 +338,9 @@ def _cmd_weights(args) -> int:
     return _finish(args, raw, params, files, "\n".join(summary))
 
 
-def _path_common(args):
-    raw, net, std, result, mode, repaired = _weighted(args)
-    if std is None:
-        std = standardize(net)
-    return raw, net, std, result, mode, repaired
-
-
 def _cmd_mainpath(args) -> int:
-    raw, net, std, result, mode, repaired = _path_common(args)
-    sub = main_path(std, result.arc, single=args.single)
+    raw, net, std, result, mode, repaired = _weighted(args)
+    sub = main_path(std or standardize(net), result.arc, single=args.single)
     files = {"mainpath.net": write_subnetwork(sub, result.arc)}
     params = _weight_params(args, mode)
     params["single"] = args.single
@@ -357,8 +350,8 @@ def _cmd_mainpath(args) -> int:
 
 
 def _cmd_cpm(args) -> int:
-    raw, net, std, result, mode, repaired = _path_common(args)
-    sub = cpm_path(std, result.arc)
+    raw, net, std, result, mode, repaired = _weighted(args)
+    sub = cpm_path(std or standardize(net), result.arc)
     files = {"cpm.net": write_subnetwork(sub, result.arc)}
     text = (f"critical path: {len(sub.vertices)} vertices, "
             f"{len(sub.arcs)} arcs (method {result.method})")

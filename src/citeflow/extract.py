@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acyclic import StandardizedNetwork, _gather, _stage_groups, _sweep
+from .acyclic import StandardizedNetwork, _stage_groups, _sweep
 from .network import ArcWeights, Network, _forest
 from .pajek import write_pajek
 
@@ -25,15 +25,16 @@ _CHUNK = 1 << 16  # arcs per pass over path totals: bounds exact-mode memory
 
 def _tied(a, b, mode: str):
     """a == b, or for floats |a - b| <= _TIE * max(|a|, |b|) and for logs
-    |a - b| <= _TIE * max(1, |a|, |b|) (so ln 0 ties with ln 0 as 0 does
-    with 0); elementwise when `a` is an array."""
+    |a - b| <= _TIE * max(1, |a|, |b|), where an infinity ties only with
+    itself (so ln 0 ties with ln 0 as 0 does with 0, and with nothing
+    else); elementwise when `a` or `b` is an array."""
     if mode == "exact":
         return a == b
     with np.errstate(invalid="ignore"):  # inf - inf: equal, caught by ==
         gap = abs(a - b)
     floor = _TIE if mode == "log" else 0.0
-    return ((a == b) | (gap <= floor) | (gap <= _TIE * abs(a))
-            | (gap <= _TIE * abs(b)))
+    return (a == b) | (gap < np.inf) & (  # an infinity ties only itself
+        (gap <= floor) | (gap <= _TIE * abs(a)) | (gap <= _TIE * abs(b)))
 
 
 @dataclass(frozen=True)
@@ -95,37 +96,34 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
               single: bool = False) -> Subnetwork:
     """Greedy forward closure along locally heaviest arcs.
 
-    Starting at the source, every visited vertex contributes its maximum
+    Starting at the source, every reached vertex contributes its maximum
     weight out-arcs (all of them when tied), so the result can branch; with
     `single` ties break toward the smallest head id and exactly one chain
     comes back.  The source, sink and their auxiliary arcs are stripped from
-    the report.  The first round takes the (s, u) arcs; each later round
-    gathers the out-arcs of the newly reached vertices from the input's
-    adjacency index: O(m) array work in all.
+    the report.  One pass over the (s, u) arcs and the input's adjacency
+    index picks every vertex's heaviest out-arcs, and one forward stage
+    sweep marks the vertices that those arcs reach from s: O(m) array work.
     """
     vals, mode = _aligned(std, w)
-    base = std.base
-    ptr, out = std.net._adjacency()
-    seen = np.zeros(std.s, dtype=bool)  # 1..n: the (u, t) arcs go unwalked
-    arcs = np.flatnonzero(base.tails == std.s)  # by head, like a CSR run
-    chosen = [arcs[:0]]
-    while arcs.size:
-        tails, v = base.tails[arcs], vals[arcs]
-        runs = np.flatnonzero(np.diff(tails, prepend=-1))  # one per tail
-        best = np.repeat(np.maximum.reduceat(v, runs),  # per arc
-                         np.diff(runs, append=len(arcs)))
-        tied = np.flatnonzero(_tied(v, best, mode))
-        if single:  # each run is by (head, arc): its first tie is smallest
-            tied = tied[np.diff(tails[tied], prepend=-1) != 0]
-        chosen.append(arcs[tied])
-        heads = np.unique(base.heads[arcs[tied]])
-        frontier = heads[~seen[heads]]
-        seen[frontier] = True
-        arcs = _gather(ptr, out, frontier)
-    keep = np.sort(np.concatenate(chosen))  # the (s, u) arcs are cut below
-    keep = tuple(keep[keep < std.original_m].tolist())
+    net, base = std.net, std.base
+    # s's run by head, then the input's runs by (tail, head, arc)
+    arcs = np.r_[np.flatnonzero(base.tails == std.s), net._adjacency()[1]]
+    tails, v = base.tails[arcs], vals[arcs]
+    runs = np.flatnonzero(np.diff(tails, prepend=-1))  # one per tail
+    best = np.repeat(np.maximum.reduceat(v, runs),  # per arc
+                     np.diff(runs, append=len(arcs)))
+    tied = np.flatnonzero(_tied(v, best, mode))
+    if single:  # a run's first tie has the smallest (head, arc)
+        tied = tied[np.diff(tails[tied], prepend=-1) != 0]
+    chosen = np.zeros(base.m, dtype=bool)
+    chosen[arcs[tied]] = True
+    seen = np.zeros(net.n + 1, dtype=bool)
+    seen[base.heads[net.m:][chosen[net.m:]]] = True  # (s, u) arcs only
+    _sweep(seen, net._memo(_stage_groups, False), net.tails, np.logical_or,
+           np.logical_and, chosen)
+    keep = np.flatnonzero(chosen[:net.m] & seen[net.tails])
     verts = frozenset(np.flatnonzero(seen).tolist())
-    return Subnetwork(std.net, verts, keep, "main_path")
+    return Subnetwork(net, verts, tuple(keep.tolist()), "main_path")
 
 
 # --- critical path ---
@@ -172,16 +170,21 @@ def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
 
 # --- arc cut ---
 
-def _values(w) -> np.ndarray:
-    """ArcWeights values as they are, other sequences as Python numbers."""
-    return w.values if isinstance(w, ArcWeights) else np.fromiter(w, object)
+def _values(w):
+    """(values, mode) of ArcWeights; other sequences as Python numbers, which
+    tie exactly."""
+    return ((w.values, w.mode) if isinstance(w, ArcWeights)
+            else (np.fromiter(w, object), "exact"))
 
 
 def arc_cut(net: Network, w: ArcWeights, threshold) -> Subnetwork:
-    """Keep arcs with weight >= threshold, drop vertices the cut isolates."""
+    """Keep arcs with weight >= threshold or tied with it (`_tied` in the
+    weights' mode; plain sequences tie exactly), drop vertices the cut
+    isolates."""
     if len(w) != net.m:
         raise ValueError("weight vector does not match arc count")
-    at = np.flatnonzero(_values(w) >= threshold)
+    vals, mode = _values(w)
+    at = np.flatnonzero((vals >= threshold) | _tied(vals, threshold, mode))
     verts = np.unique(np.r_[net.tails[at], net.heads[at]])
     roots = _forest(net.n, net.tails[at], net.heads[at])[1][verts]
     order = np.argsort(roots, kind="stable")  # by smallest member, then id
@@ -197,7 +200,7 @@ def arc_cut(net: Network, w: ArcWeights, threshold) -> Subnetwork:
 @dataclass(frozen=True)
 class Island:
     """A locally heavy cluster: internally connected by arcs of weight >=
-    internal_min while every arc to the outside is strictly lighter.
+    internal_min while every arc to the outside is lighter and not tied.
     external_max is None when no outside arc touches the island at all."""
 
     vertices: frozenset[int]
@@ -238,8 +241,10 @@ def islands(net: Network, w: ArcWeights, min_size: int = 2,
     One O(m log m) stable sort ranks the non-loop arcs by decreasing
     weight, O(m log n) Borůvka array passes (`_forest`) keep the at most n-1
     of them that Kruskal would, and Python replays only those to build the
-    cluster hierarchy, equal weights merging at one level.  A cluster
-    freezes into an island at the last moment its size stays within
+    cluster hierarchy.  Consecutive sorted weights tied under `_tied` in
+    the weights' mode (plain sequences tie exactly) form one group that
+    merges at one level: its first arc's value in the decreasing scan.  A
+    cluster freezes into an island at the last moment its size stays within
     max_size.  Loops are ignored; vertices never touched by an arc belong
     to no island.  NaN weights raise ValueError.
     """
@@ -250,7 +255,7 @@ def islands(net: Network, w: ArcWeights, min_size: int = 2,
     if min_size < 1 or max_size < min_size:
         raise ValueError("need 1 <= min_size <= max_size")
 
-    vals = _values(w)
+    vals, mode = _values(w)
     if np.any(vals != vals):
         raise ValueError("island weights must not be NaN")
     # an ascending stable sort of the reversed arcs, read backwards, ranks by
@@ -260,8 +265,10 @@ def islands(net: Network, w: ArcWeights, min_size: int = 2,
     asc = vals[arcs]
     arcs = arcs[::-1]
     forest = _forest(net.n, net.tails[arcs], net.heads[arcs])[0]
-    # an equal-weight group's level is its first arc's value, as in the scan
-    levels = list(asc[np.searchsorted(asc, asc[::-1][forest], "right") - 1])
+    # a tied group's level is its first arc's value in the decreasing scan:
+    # the value at the group's last ascending position
+    last = np.flatnonzero(np.r_[~_tied(asc[1:], asc[:-1], mode), True])
+    levels = list(asc[last[np.searchsorted(last, len(asc) - 1 - forest)]])
 
     # dendrogram: node v <= n is vertex v's leaf, forest arc j merges the
     # newest nodes of its ends' clusters into node n+1+j

@@ -15,7 +15,7 @@ Networks are immutable after construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Literal
 
 import numpy as np
@@ -143,10 +143,6 @@ class Network:
     def arcs(self) -> list[tuple[int, int, float]]:
         """Arc list as (tail, head, weight) tuples; O(m), meant for small nets."""
         return [self.arc(i) for i in range(self.m)]
-
-    def iter_arcs(self) -> Iterator[tuple[int, int, float]]:
-        for i in range(self.m):
-            yield self.arc(i)
 
     # --- adjacency ---
     # Arc indices within each list are ordered by (tail, head, input position),

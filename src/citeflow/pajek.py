@@ -81,14 +81,8 @@ def parse_pajek(text: str) -> Network:
         elif key == "*arcs":
             if n < 0:
                 raise PajekParseError("*Arcs before *Vertices", line_no)
-            columns = _strict_arcs(body, n)
-            if columns is None:
-                lines = [line.strip() for line in body.split("\n")]
-                try:  # Python's int and float, then the first bad line
-                    columns = _arc_rows([x for x in lines if x and x[0] != "%"], n)
-                except (ValueError, OverflowError):
-                    _first_bad_arc(lines, line_no + 1, n)
-            arcs.append(columns)
+            arcs.append(_strict_arcs(body, n) or _arc_lines(
+                body.split("\n"), line_no + 1, n))
         elif key == "*edges":
             raise PajekParseError(
                 "undirected *Edges are not supported; citation networks "
@@ -124,32 +118,14 @@ def _strict_arcs(body: str, n: int):
     return tails, heads, np.where(width == 3, three, 1.0)
 
 
-def _arc_rows(rows: list[str], n: int):
-    """(tails, heads, weights) of stripped arc lines, converted in bulk with
-    Python's int and float; ValueError or OverflowError if a line is bad."""
-    width = np.fromiter(map(len, map(str.split, rows)), np.int64, len(rows))
-    three = width == 3
-    if not np.all(three | (width == 2)):
-        raise ValueError
-    token = " ".join(rows).split().__getitem__
-    first = np.cumsum(width) - width  # each row's first token
-    tails, heads = (np.fromiter(map(int, map(token, (first + k).tolist())),
-                                np.int64, len(rows)) for k in (0, 1))
-    weights = np.ones(len(rows))
-    weights[three] = np.fromiter(
-        map(float, map(token, (first[three] + 2).tolist())), np.float64)
-    if rows and not (1 <= min(tails.min(), heads.min())
-                     and max(tails.max(), heads.max()) <= n):
-        raise ValueError
-    return tails, heads, weights
-
-
-def _first_bad_arc(body: list[str], first_no: int, n: int):
-    """Raise PajekParseError for the first malformed arc line in `body`."""
+def _arc_lines(body: list[str], first_no: int, n: int):
+    """(tails, heads, weights) of *Arcs lines, read one by one with Python's
+    int and float; PajekParseError names the first malformed line."""
+    tails, heads, weights = [], [], []
     for line_no, line in enumerate(body, start=first_no):
-        if not line or line[0] == "%":
-            continue
         parts = line.split()
+        if not parts or parts[0][0] == "%":
+            continue
         if len(parts) not in (2, 3):
             raise PajekParseError("expected 'tail head [weight]'", line_no)
         try:
@@ -157,16 +133,20 @@ def _first_bad_arc(body: list[str], first_no: int, n: int):
         except ValueError:
             raise PajekParseError("arc endpoint is not an integer",
                                   line_no) from None
-        if len(parts) == 3:
-            try:
-                float(parts[2])
-            except ValueError:
-                raise PajekParseError("arc weight is not a number",
-                                      line_no) from None
+        try:
+            weight = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise PajekParseError("arc weight is not a number",
+                                  line_no) from None
         if not 1 <= tail <= n or not 1 <= head <= n:
             raise PajekParseError(
                 f"arc ({tail}, {head}) references a vertex outside 1..{n}",
                 line_no)
+        tails.append(tail)
+        heads.append(head)
+        weights.append(weight)
+    return (np.array(tails, np.int64), np.array(heads, np.int64),
+            np.array(weights, np.float64))
 
 
 def _vertex_line(line: str, line_no: int, n: int) -> tuple[int, str]:

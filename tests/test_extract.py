@@ -7,8 +7,9 @@ import pytest
 
 import citeflow.extract as extract_mod
 from citeflow import (MODES, ArcWeights, Network, arc_cut, cpm_path, islands,
-                      main_path, nppc, parse_pajek, random_dag, spc,
-                      standardize, write_subnetwork)
+                      main_path, normalize, nppc, parse_pajek, random_dag,
+                      spc, splc, spnp, standardize, write_subnetwork)
+from citeflow.extract import _tied
 
 import oracles
 from conftest import arcs_of, rand_instance, random_multigraph
@@ -138,6 +139,44 @@ def test_zero_weights_tie_in_every_mode(branch, single):
     cpms = [cpm_path(std, w) for w in zeros]
     assert {(p.arcs, p.vertices) for p in cpms} == \
         {(tuple(range(branch.m)), frozenset(range(1, 5)))}
+
+
+@pytest.mark.parametrize("a, b, mode, tied", [
+    (0.0, -math.inf, "log", False), (5.0, math.inf, "float", False),
+    (-math.inf, 1e300, "float", False), (math.inf, math.inf, "float", True)])
+def test_an_infinity_ties_only_with_itself(a, b, mode, tied):
+    assert bool(_tied(a, b, mode)) is tied
+    assert bool(_tied(np.array([b]), a, mode)[0]) is tied
+
+
+def test_main_path_leaves_a_zero_weight_arc_in_log_mode():
+    net = Network(3, [(1, 2), (1, 3)])
+    std = standardize(net)
+    ones = np.ones(std.base.m)
+    ones[0] = 0
+    for mode in MODES:
+        vals = ones.tolist() if mode == "exact" else ones
+        with np.errstate(divide="ignore"):
+            w = ArcWeights(np.log(vals) if mode == "log" else vals, mode)
+        assert main_path(std, w).arcs == (1,)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_main_path_on_zero_weights_agrees_across_modes(seed):
+    # integer levels with zeros: ln 0 = -inf must not tie with ln 1 = 0
+    rng = np.random.default_rng(seed)
+    std = standardize(random_dag(int(rng.integers(2, 30)), 0.3, seed))
+    level = rng.integers(0, 3, size=std.base.m)
+    with np.errstate(divide="ignore"):
+        ws = [ArcWeights(level.tolist(), "exact"),
+              ArcWeights(level.astype(float), "float"),
+              ArcWeights(np.log(level), "log")]
+    for single in (False, True):
+        want = oracles.main_path_reference(std, ws[0], single)
+        for w in ws:
+            sub = main_path(std, w, single)
+            assert (sub.arcs, sub.vertices) == want
+            assert want == oracles.main_path_reference(std, w, single)
 
 
 # --- critical path ---
@@ -275,6 +314,23 @@ def test_arc_cut_drops_isolated_vertices(diamond):
 def test_arc_cut_length_check(diamond):
     with pytest.raises(ValueError):
         arc_cut(diamond, [1, 2], 1)
+
+
+def test_log_cut_keeps_the_arc_at_the_threshold():
+    # T is one arc's exact normalized weight; that arc's log-mode share can
+    # lie below ln T in the last bits, but it ties with ln T and is kept
+    below = 0
+    for seed in range(6):
+        net = random_dag(12, 0.4, seed)
+        std = standardize(net)
+        share = normalize(spc(std, "exact")).arc.values[:net.m]
+        logs = normalize(spc(std, "log")).arc.values[:net.m]
+        for i in range(net.m):
+            T = math.log(share[i])
+            got = arc_cut(net, ArcWeights(logs, "log"), T).arcs
+            assert got == tuple(np.flatnonzero(share >= share[i]).tolist())
+            below += bool(logs[i] < T)
+    assert below  # without ties, those arcs would be dropped
 
 
 # --- subnetwork materialization ---
@@ -462,3 +518,34 @@ def test_cpm_on_deep_log_weights_keeps_every_exact_tie():
     got = cpm_path(std, spc(std, "log").arc)
     assert len(want.arcs) == 864
     assert (got.arcs, got.vertices) == (want.arcs, want.vertices)
+
+
+def layered_net(seed, layers=12, width=6):
+    """Arcs between every pair of vertices in consecutive layers, shuffled,
+    with 5% dropped: log counts that are equal in exact arithmetic are
+    summed in different orders and differ in the last bits."""
+    rng = np.random.default_rng(seed)
+    ids = np.arange(1, layers * width + 1).reshape(layers, width)
+    pairs = np.array([(u, v) for a, b in zip(ids[:-1], ids[1:])
+                      for u in a for v in b])
+    pairs = pairs[rng.permutation(len(pairs))][:len(pairs) * 19 // 20]
+    return Network.from_arrays(layers * width, pairs[:, 0], pairs[:, 1])
+
+
+@pytest.mark.parametrize("method", [spc, splc, spnp])
+def test_islands_agree_across_modes(method):
+    net = layered_net(0)
+    std = standardize(net)
+    found = {mode: {isl.vertices: isl for isl in islands(
+        net, ArcWeights(method(std, mode).arc.values[:net.m], mode),
+        min_size=2, max_size=20).islands} for mode in MODES}
+    exact = found["exact"]
+    assert exact
+    for mode, scale in (("float", float), ("log", math.log)):
+        assert found[mode].keys() == exact.keys(), mode
+        for verts, isl in found[mode].items():
+            want = exact[verts]
+            assert _tied(isl.internal_min, scale(want.internal_min), mode)
+            assert (isl.external_max is None) == (want.external_max is None)
+            if want.external_max is not None:
+                assert _tied(isl.external_max, scale(want.external_max), mode)
