@@ -10,8 +10,7 @@ and the closing feedback arc (t, s) that the weight routines expect.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,25 +165,16 @@ class TopologicalOrder:
 
 
 def topological_order(net: Network) -> TopologicalOrder:
-    """Kahn's algorithm, smallest-id-first among the available vertices.
+    """Kahn's algorithm frontier by frontier (the cached `_dag_levels`
+    order), each frontier ascending by id: not always the smallest order by
+    id, as Network(3, [(1, 2)]) gives (1, 3, 2).
 
     Raises CycleError (with a witness vertex) if the network has a cycle;
     a loop counts as a cycle.
     """
-    _dag_levels(net)
-    n = net.n
-    indeg = np.bincount(net.heads, minlength=n + 1).tolist()
-    ready = [v for v in range(1, n + 1) if indeg[v] == 0]  # sorted: a heap
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in net.successors(v).tolist():
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
+    order = _dag_levels(net)[1]
     position = np.argsort(order) + 1  # rank of each vertex 1..n
-    return TopologicalOrder(tuple(order), tuple(position.tolist()))
+    return TopologicalOrder(tuple(order.tolist()), tuple(position.tolist()))
 
 
 def _levels(net: Network, reverse: bool = False):
@@ -255,9 +245,9 @@ def _cycle_witness(net, stuck: np.ndarray, reverse) -> int:
 
 def _stage_groups(net: Network, by_tail: bool):
     """Stage schedule of the arcs by the forward level of their tails, or
-    heads: one np.lexsort by (stage, near endpoint, arc).  Built once per
-    direction as net._memo(_stage_groups, by_tail) and shared by the flow
-    methods, the closures and cpm_path, which all sweep the input network.
+    heads: one np.lexsort by (stage, near endpoint, arc).  `_sweep` builds
+    it once per direction as net._memo(_stage_groups, by_tail), for the
+    flow methods, the closures, main_path and cpm_path alike.
 
     Read-only (idx, stage, runs, ends): the arcs in that order (int32 when
     they fit: 4 bytes per arc), the bounds in idx of each stage that has
@@ -278,18 +268,18 @@ def _stage_groups(net: Network, by_tail: bool):
     return sched
 
 
-def _sweep(c: np.ndarray, sched, far: np.ndarray, plus, times=None,
-           factor=None, descending: bool = False,
-           cap: int | None = None) -> np.ndarray:
-    """The one DAG recurrence, run in place over a `_stage_groups` schedule.
-
-    Stage by stage (highest first when `descending`), every near endpoint
-    v takes c[v] = c[v] ⊕ (⊕ of c[far[a]] ⊗ factor over its arcs a), with ⊕
-    the ufunc `plus` and ⊗ the ufunc `times`; `factor` is None (no ⊗), one
-    value, or an array indexed by arc.  Rows of a 2-D `c` combine
-    elementwise.  With `cap`, stages are cut into slices of at most cap arcs.
+def _sweep(c: np.ndarray, net: Network, backward: bool, plus, times=None,
+           factor=None, cap: int | None = None) -> np.ndarray:
+    """The one DAG recurrence, run in place over the cached `_stage_groups`
+    schedule of `net`: stage by stage, every head v takes c[v] = c[v] ⊕ (⊕
+    of c[tail(a)] ⊗ factor over its in-arcs a); with `backward` every tail,
+    highest stage first, over its out-arcs' heads.  ⊕ is the ufunc `plus`
+    and ⊗ the ufunc `times`; `factor` is None (no ⊗), one value, or an array
+    indexed by arc.  Rows of a 2-D `c` combine elementwise.  With `cap`,
+    stages are cut into slices of at most cap arcs.
     """
-    idx, stage, runs, ends = sched
+    idx, stage, runs, ends = net._memo(_stage_groups, backward)
+    far = net.heads if backward else net.tails
     lo, hi = stage[:-1], stage[1:]
     if cap:  # a slice also starts at every cap-th arc of a stage
         lo = np.concatenate([lo[:0], *map(np.arange, lo.tolist(), hi.tolist(),
@@ -297,7 +287,7 @@ def _sweep(c: np.ndarray, sched, far: np.ndarray, plus, times=None,
         hi = np.minimum(stage[np.searchsorted(stage, lo, "right")], lo + cap)
     bounds = np.stack([lo, hi, np.searchsorted(runs, lo, "right") - 1,
                        np.searchsorted(runs, hi)], axis=1).tolist()
-    for a, b, j, k in (reversed(bounds) if descending else bounds):
+    for a, b, j, k in (reversed(bounds) if backward else bounds):
         arcs, e, seg = idx[a:b], ends[j:k], runs[j:k] - a
         seg[0] = 0  # a slice can start inside run j
         vals = c[far[arcs]]
@@ -319,10 +309,12 @@ class StandardizedNetwork:
     """A network extended with source s, sink t and the feedback arc (t, s).
 
     `net` is the input network.  `base` holds the extended network: the
-    input's arcs first (order kept), then (s, u) for every minimal u, then
-    (u, t) for every maximal u, then the feedback arc last.  s = n+1,
-    t = n+2.  The sweeps run on `net` and treat s, t and (t, s) as seeds
-    and closing reductions, so `base` caches no levels or schedules.
+    input's m arcs first (order kept), then (s, u) for each of the k
+    `sources`, then (u, t) for each of the `sinks`, then the feedback arc
+    last, so the links are base arcs m:m+k and m+k:base.m-1.  `sources`
+    and `sinks`, the minimal and maximal vertices, are ascending and
+    read-only; s = n+1, t = n+2.  The sweeps run on `net` and treat s, t
+    and (t, s) as seeds and closing reductions, so `base` caches nothing.
     """
 
     net: Network
@@ -330,6 +322,8 @@ class StandardizedNetwork:
     s: int
     t: int
     feedback_arc: int
+    sources: np.ndarray = field(compare=False)  # follow from `net`
+    sinks: np.ndarray = field(compare=False)
 
     @property
     def original_n(self) -> int:
@@ -361,7 +355,8 @@ def standardize(net: Network) -> StandardizedNetwork:
     weights = np.r_[net.weights, np.ones(len(mins) + len(maxs) + 1)]
     labels = list(net.labels) + ["s", "t"]
     base = Network.from_arrays(t, tails, heads, weights, labels)
-    return StandardizedNetwork(net, base, s, t, base.m - 1)
+    mins.flags.writeable = maxs.flags.writeable = False
+    return StandardizedNetwork(net, base, s, t, base.m - 1, mins, maxs)
 
 
 # --- depths ---

@@ -155,9 +155,14 @@ def _acyclic_or_repair(net: Network, strategy: str | None) -> tuple[Network, str
         raise _Fail(EXIT_CYCLIC,
                     "input network is cyclic; rerun with --repair shrink "
                     "or --repair preprint")
+    return _repaired(net, strategy), strategy
+
+
+def _repaired(net: Network, strategy: str, part=None) -> Network:
+    """The chosen repair, on `part` (the strong components) when given."""
     if strategy == "shrink":  # drops loops with every intra-class arc
-        return shrink_components(net), "shrink"
-    return preprint_transform(remove_loops(net)), "preprint"
+        return shrink_components(net, part)
+    return preprint_transform(remove_loops(net), part)
 
 
 def _compute(net: Network, method: str, mode: str | None,
@@ -179,6 +184,8 @@ def _compute(net: Network, method: str, mode: str | None,
 
     try:
         return std, counts(mode or "float")
+    except ValueError as exc:  # --alpha outside (0, 1]
+        raise _Fail(EXIT_USAGE, str(exc)) from exc
     except WeightOverflowError as exc:
         if mode is not None:
             raise _Fail(EXIT_OVERFLOW, str(exc)) from exc
@@ -247,8 +254,7 @@ def _cmd_stats(args) -> int:
 def _cmd_repair(args) -> int:
     raw, net = _load(args.input)
     part = strong_components(net)  # loops keep the SCCs
-    fixed = (shrink_components(net, part) if args.strategy == "shrink"
-             else preprint_transform(remove_loops(net), part))
+    fixed = _repaired(net, args.strategy, part)
     nontrivial = sum(1 for size in part.sizes() if size > 1)
     lines = [f"strategy            {args.strategy}",
              f"vertices            {net.n} -> {fixed.n}",

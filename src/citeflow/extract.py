@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acyclic import StandardizedNetwork, _stage_groups, _sweep
-from .network import ArcWeights, Network, _forest
+from .acyclic import StandardizedNetwork, _sweep
+from .network import ArcWeights, Network, _forest, _unique
 from .pajek import write_pajek
 
 _TIE = 1e-12
@@ -105,9 +105,9 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
     sweep marks the vertices that those arcs reach from s: O(m) array work.
     """
     vals, mode = _aligned(std, w)
-    net, base = std.net, std.base
-    # s's run by head, then the input's runs by (tail, head, arc)
-    arcs = np.r_[np.flatnonzero(base.tails == std.s), net._adjacency()[1]]
+    net, base, m, k = std.net, std.base, std.net.m, len(std.sources)
+    # the (s, u) arcs by head, then the input's runs by (tail, head, arc)
+    arcs = np.r_[np.arange(m, m + k), net._adjacency()[1]]
     tails, v = base.tails[arcs], vals[arcs]
     runs = np.flatnonzero(np.diff(tails, prepend=-1))  # one per tail
     best = np.repeat(np.maximum.reduceat(v, runs),  # per arc
@@ -118,10 +118,9 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
     chosen = np.zeros(base.m, dtype=bool)
     chosen[arcs[tied]] = True
     seen = np.zeros(net.n + 1, dtype=bool)
-    seen[base.heads[net.m:][chosen[net.m:]]] = True  # (s, u) arcs only
-    _sweep(seen, net._memo(_stage_groups, False), net.tails, np.logical_or,
-           np.logical_and, chosen)
-    keep = np.flatnonzero(chosen[:net.m] & seen[net.tails])
+    seen[std.sources[chosen[m:m + k]]] = True
+    _sweep(seen, net, False, np.logical_or, np.logical_and, chosen)
+    keep = np.flatnonzero(chosen[:m] & seen[net.tails])
     verts = frozenset(np.flatnonzero(seen).tolist())
     return Subnetwork(net, verts, tuple(keep.tolist()), "main_path")
 
@@ -140,24 +139,21 @@ def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
     """
     vals, mode = _aligned(std, w)
     times = np.logaddexp if mode == "log" else np.add
-    net, base = std.net, std.base
+    net, m, k = std.net, std.net.m, len(std.sources)
+    out_s, into_t = (std.sources, vals[m:m + k]), (std.sinks, vals[m + k:-1])
     dist = []  # best total s -> v, then best total v -> t
-    for far, near, start, end, backward in (
-            (base.tails, base.heads, std.s, std.t, False),
-            (base.heads, base.tails, std.t, std.s, True)):
-        c = np.full(base.n + 1, -np.inf, dtype=vals.dtype)
+    for (seeds, w_in), (links, w_out), start, end, backward in (
+            (out_s, into_t, std.s, std.t, False),
+            (into_t, out_s, std.t, std.s, True)):
+        c = np.full(std.base.n + 1, -np.inf, dtype=vals.dtype)
         c[start] = -np.inf if mode == "log" else 0
-        seeds = np.flatnonzero(far == start)
-        c[near[seeds]] = times(c[start], vals[seeds])
-        _sweep(c, net._memo(_stage_groups, backward), far, np.maximum, times,
-               vals, descending=backward)
-        links = np.flatnonzero(near == end)
-        c[end] = np.maximum.reduce(times(c[far[links]], vals[links]),
-                                   initial=-np.inf)
+        c[seeds] = times(c[start], w_in)
+        _sweep(c, net, backward, np.maximum, times, vals)
+        c[end] = np.maximum.reduce(times(c[links], w_out), initial=-np.inf)
         dist.append(c)
     fdist, gdist = dist
     optimum = fdist[std.t]
-    chosen, m = [], net.m
+    chosen = []
     for arcs in np.split(np.arange(m), range(_CHUNK, m, _CHUNK)):
         total = times(times(fdist[net.tails[arcs]], vals[arcs]),
                       gdist[net.heads[arcs]])
@@ -185,7 +181,7 @@ def arc_cut(net: Network, w: ArcWeights, threshold) -> Subnetwork:
         raise ValueError("weight vector does not match arc count")
     vals, mode = _values(w)
     at = np.flatnonzero((vals >= threshold) | _tied(vals, threshold, mode))
-    verts = np.unique(np.r_[net.tails[at], net.heads[at]])
+    verts = _unique(np.r_[net.tails[at], net.heads[at]])
     roots = _forest(net.n, net.tails[at], net.heads[at])[1][verts]
     order = np.argsort(roots, kind="stable")  # by smallest member, then id
     bounds = np.flatnonzero(np.diff(roots[order])) + 1

@@ -236,6 +236,12 @@ def _merged(n, tails, heads, weights, labels) -> Network:
                                            len(keep)), labels)
 
 
+def _unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) by a sort and a mask: numpy >= 2.3 hashes np.unique(a)."""
+    a = np.sort(a)
+    return np.concatenate([a[:1], a[1:][a[1:] != a[:-1]]])
+
+
 def _forest(n: int, u: np.ndarray, v: np.ndarray):
     """Kruskal's spanning forest of the arcs (u[i], v[i]) taken in index
     order, direction ignored, found by Borůvka rounds: drop arcs inside one

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network
+from .network import Network, _unique
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def hits(net: Network, tolerance: float = 1e-12,
     if net.m == 0:
         raise ValueError("hub and authority scores need at least one arc")
     n = net.n
-    pairs = np.unique(net.tails * (n + 1) + net.heads)  # by (tail, head)
+    pairs = _unique(net.tails * (n + 1) + net.heads)  # by (tail, head)
     cited = pairs // (n + 1) - 1    # receives authority
     citing = pairs % (n + 1) - 1    # receives hub
 

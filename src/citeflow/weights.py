@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .acyclic import StandardizedNetwork, _dag_levels, _stage_groups, _sweep
+from .acyclic import StandardizedNetwork, _dag_levels, _sweep
 from .network import ArcWeights, Mode, MODES, Network
 
 _WORDS = 64  # most uint64 words per closure bitset: 4096 sources per block
@@ -81,10 +81,9 @@ def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
 
     fwd[v] counts the paths ending at v, bwd[v] those starting at v, each
     arc on them damped by `alpha`.  A path starts at a vertex linked to s:
-    the minimal ones, or every vertex with `seed_fwd`; it ends at one linked
-    to t: the maximal ones, or every vertex with `seed_bwd`.  fwd[t] and
-    bwd[s] sum those links in the order of the s and t arcs of the linked
-    standard form (the standard ones first).
+    the minimal ones, then every other vertex with `seed_fwd`; it ends at
+    one linked to t: the maximal ones, then every other with `seed_bwd`.
+    fwd[t] and bwd[s] sum those links in that order.
     """
     if mode not in MODES:
         raise ValueError(f"unknown numeric mode: {mode!r}")
@@ -92,28 +91,19 @@ def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
     dtype, zero, one, plus, times = _RINGS[mode]
     factor = None if alpha == 1 else {
         "float": alpha, "exact": Fraction(alpha), "log": math.log(alpha)}[mode]
-    minimal, maximal, every = np.zeros((3, t + 1), dtype=bool)
-    minimal[base.heads[base.tails == s]] = True
-    maximal[base.tails[base.heads == t]] = True
-    every[1:s] = True
 
-    def sweep(far, seeded, backward):
-        c = np.where(seeded, one, zero).astype(dtype)
-        sched = net._memo(_stage_groups, backward)
-        return _sweep(c, sched, far, plus, times, factor, descending=backward)
+    def linked(ends, everyone):
+        return np.r_[ends, np.setdiff1d(np.arange(1, s), ends, True)
+                     if everyone else ends[:0]]
 
-    def linked(c, seeded, standard):
-        order = np.r_[np.flatnonzero(standard),
-                      np.flatnonzero(seeded & ~standard)]
-        return plus.reduce(c[order], initial=zero)
-
-    to_s = every if seed_fwd else minimal
-    to_t = every if seed_bwd else maximal
+    to_s, to_t = linked(std.sources, seed_fwd), linked(std.sinks, seed_bwd)
+    fwd, bwd = np.full((2, t + 1), zero, dtype=dtype)
+    fwd[to_s] = bwd[to_t] = one
     with np.errstate(over="ignore", invalid="ignore"):
-        fwd = sweep(net.tails, to_s, backward=False)
-        bwd = sweep(net.heads, to_t, backward=True)
-        fwd[s], fwd[t] = one, linked(fwd, to_t, maximal)
-        bwd[s], bwd[t] = linked(bwd, to_s, minimal), one
+        _sweep(fwd, net, False, plus, times, factor)
+        _sweep(bwd, net, True, plus, times, factor)
+        fwd[s], fwd[t] = one, plus.reduce(fwd[to_t], initial=zero)
+        bwd[s], bwd[t] = plus.reduce(bwd[to_s], initial=zero), one
         arc = times(fwd[base.tails], bwd[base.heads])
         vertex = times(fwd[1:], bwd[1:])
     arc[std.feedback_arc] = fwd[t]
@@ -171,8 +161,7 @@ def _closures(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """
     n = net.n
     sizes = []
-    for by_tail, far in ((False, net.tails), (True, net.heads)):
-        sched = net._memo(_stage_groups, by_tail)
+    for backward in (False, True):
         counts = np.zeros(n + 1, dtype=np.int64)
         for first in range(1, n + 1, 64 * _WORDS):
             src = np.arange(first, min(first + 64 * _WORDS, n + 1))
@@ -180,8 +169,7 @@ def _closures(net: Network) -> tuple[np.ndarray, np.ndarray]:
             bit = src - first
             bits[src, bit >> 6] = np.uint64(1) << (bit & 63).astype(np.uint64)
             # slices of at most n+1 arcs keep each gather within the bitsets
-            _sweep(bits, sched, far, np.bitwise_or, descending=by_tail,
-                   cap=n + 1)
+            _sweep(bits, net, backward, np.bitwise_or, cap=n + 1)
             counts += np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
         sizes.append(counts)
     return tuple(sizes)
@@ -237,10 +225,9 @@ class PathPolynomials:
 
 
 def path_polynomials(std: StandardizedNetwork) -> PathPolynomials:
-    base, s, t = std.base, std.s, std.t
     # over the input's arcs; the (u, t) links close t, the (s, u) links s
-    pm = _polys(std.net, base.tails[base.heads == t], backward=False)
-    pp = _polys(std.net, base.heads[base.tails == s], backward=True)
+    pm = _polys(std.net, std.sinks, backward=False)
+    pp = _polys(std.net, std.sources, backward=True)
     return PathPolynomials(pm[:-1] + ((),) + pm[-1:], pp + ((),))
 
 

@@ -7,6 +7,8 @@ under test.  Exponential, so only for small networks.
 
 from __future__ import annotations
 
+import operator
+
 
 def standard_form(n, arcs):
     """Rebuild the documented source/sink extension by hand.
@@ -251,10 +253,13 @@ def shrink_reference(n, arcs, class_of, labels):
     return k, merge_parallel(mapped), names
 
 
-def islands_reference(n, tails, heads, vals, min_size, max_size):
+def islands_reference(n, tails, heads, vals, min_size, max_size,
+                      tied=operator.eq):
     """[(vertices, internal_min, external_max)] of the island hierarchy,
     built by a dict union-find over every non-loop arc in stable
-    decreasing weight order, equal weights merged as one level."""
+    decreasing weight order.  A run of weights in which each one is `tied`
+    with the one before (by default: equal) merges as one level, the run's
+    first weight."""
     m = len(tails)
     by_weight = sorted((i for i in range(m) if tails[i] != heads[i]),
                        key=lambda i: vals[i], reverse=True)
@@ -281,8 +286,9 @@ def islands_reference(n, tails, heads, vals, min_size, max_size):
     pos = 0
     while pos < len(by_weight):
         level = vals[by_weight[pos]]
-        end = pos
-        while end < len(by_weight) and vals[by_weight[end]] == level:
+        end = pos + 1
+        while end < len(by_weight) and tied(vals[by_weight[end - 1]],
+                                            vals[by_weight[end]]):
             end += 1
         for i in by_weight[pos:end]:
             t, h = int(tails[i]), int(heads[i])

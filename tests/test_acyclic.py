@@ -242,6 +242,11 @@ def test_topological_order_prefers_small_ids():
     assert topological_order(net).order == (4, 1, 2, 3)
 
 
+def test_topological_order_is_the_level_order():
+    # frontier {1, 3}, then {2}: not the smallest order by id, (1, 2, 3)
+    assert topological_order(Network(3, [(1, 2)])).order == (1, 3, 2)
+
+
 def test_topological_order_positions_are_ranks():
     net, _ = rand_instance(17, n=20, density=0.2)
     order = topological_order(net)
@@ -290,6 +295,11 @@ def test_standardize_matches_independent_construction():
         std = standardize(net)
         assert (std.s, std.t) == (s, t)
         assert arcs_of(std.base) == full
+        base = std.base
+        assert std.sources.tolist() == base.heads[base.tails == s].tolist()
+        assert std.sinks.tolist() == base.tails[base.heads == t].tolist()
+        for ends in (std.sources, std.sinks):
+            assert not ends.flags.writeable
 
 
 def test_standardize_isolated_vertex_is_min_and_max():

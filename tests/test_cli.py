@@ -83,11 +83,13 @@ def test_stats_tolerates_cycles(tmp_path, capsys):
 
 def test_mainpath_needs_acyclic_input(tmp_path, capsys):
     path = tmp_path / "cyc.net"
-    path.write_text(TWO_CYCLE)
-    assert run(["mainpath", path, "--out", tmp_path / "o"]) == 4
-    assert "cyclic" in capsys.readouterr().err
-    assert run(["mainpath", path, "--repair", "shrink",
-                "--out", tmp_path / "o2"]) == 0
+    # a loop alone makes the input cyclic too
+    for text in (TWO_CYCLE, "*Vertices 2\n*Arcs\n1 2\n2 2\n"):
+        path.write_text(text)
+        assert run(["mainpath", path, "--out", tmp_path / "o"]) == 4
+        assert "cyclic" in capsys.readouterr().err
+        assert run(["mainpath", path, "--repair", "shrink",
+                    "--out", tmp_path / "o2"]) == 0
 
 
 def test_missing_and_malformed_inputs(tmp_path, capsys):
@@ -110,6 +112,10 @@ def test_usage_errors(tmp_path, diamond_file, capsys):
                 "--normalize", "--out", o]) == 2
     assert run(["islands", diamond_file, "--k", "0", "--out", o]) == 2
     capsys.readouterr()
+    for alpha in ("0", "1.5", "-1", "nan"):
+        assert run(["weights", diamond_file, "--method", "spnp",
+                    "--alpha", alpha, "--out", o]) == 2
+        assert "alpha must lie in (0, 1]" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         run(["frobnicate", diamond_file])
     assert err.value.code == 2

@@ -1,4 +1,5 @@
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -435,9 +436,14 @@ def test_islands_match_brute_force(seed, bounds):
 def island_case(seed, kind):
     """A `random_multigraph` (loops, parallel arcs, 2-cycles, untouched
     vertices) with weights of few distinct values (heavy ties) in one of
-    the representations `islands` accepts."""
+    the representations `islands` accepts.  The near kinds spread each
+    value into steps just under (odd values: chains of near ties) or just
+    over (even values: no ties) 1e-12 of `_tied`'s scale apart."""
     net = random_multigraph(seed)
     level = np.random.default_rng(seed).integers(0, 4, size=net.m)
+    steps = np.random.default_rng(seed + 1).integers(0, 4, size=net.m)
+    gap = steps * np.where(level % 2, 0.9e-12, 1.1e-12)
+    lin, log = (np.array(x)[level] for x in ([0, .5, 1, 700], [0, .25, 2, 300]))
     with np.errstate(divide="ignore"):  # ln 0 = -inf
         weights = {
             "float": ArcWeights(level * 0.5, "float"),
@@ -448,11 +454,24 @@ def island_case(seed, kind):
             # equal signed zeros: a level is its equal run's first value
             "zeros": [float(x) or (-0.0 if i % 2 else 0.0)
                       for i, x in enumerate(level)],
+            "near": ArcWeights(lin * (1 + gap), "float"),
+            "near_log": ArcWeights(np.where(
+                level == 0, -np.inf, log + gap * np.maximum(1, log)), "log"),
         }
     return net, weights[kind]
 
 
-@pytest.mark.parametrize("kind", ["float", "log", "big", "fraction", "zeros"])
+def tie_rule(w):
+    """`_tied` restated with math.isclose, for the islands oracle."""
+    mode = w.mode if isinstance(w, ArcWeights) else "exact"
+    if mode == "exact":
+        return operator.eq
+    floor = 1e-12 if mode == "log" else 0.0
+    return lambda a, b: math.isclose(a, b, rel_tol=1e-12, abs_tol=floor)
+
+
+@pytest.mark.parametrize("kind", ["float", "log", "big", "fraction", "zeros",
+                                  "near", "near_log"])
 @pytest.mark.parametrize("seed", range(40))
 def test_islands_match_the_union_find_scan(seed, kind):
     net, w = island_case(seed, kind)
@@ -460,9 +479,11 @@ def test_islands_match_the_union_find_scan(seed, kind):
         got = [(isl.vertices, isl.internal_min, isl.external_max) for isl in
                islands(net, w, min_size=k, max_size=kmax).islands]
         want = oracles.islands_reference(net.n, net.tails, net.heads,
-                                         list(w), k, kmax)
+                                         list(w), k, kmax, tie_rule(w))
         assert got == want
         assert repr(got) == repr(want)  # same types and signed zeros
+    if kind.startswith("near"):
+        return  # the brute force below ties exactly
     kmax = max(2, net.n)
     got = {isl.vertices for isl in islands(net, w, 2, kmax).islands}
     assert got == oracles.brute_islands(net.n, arcs_of(net), list(w), 2, kmax)

@@ -5,7 +5,7 @@ import pytest
 
 from citeflow import (ArcWeights, Network, complete_acyclic, random_dag,
                       shrink_components, simplify, strong_components)
-from citeflow.network import _forest
+from citeflow.network import _forest, _unique
 
 import oracles
 from conftest import arcs_of, random_multigraph
@@ -139,6 +139,14 @@ def test_forest_is_kruskals_and_labels_weak_components(net):
         for v in comp:
             want[v] = min(comp)
     assert label.tolist() == want
+
+
+@pytest.mark.parametrize("keys", [[], [7], [3, 1, 3, 2, 1], [2**62, -5, 2**62]])
+def test_sorted_unique_matches_np_unique(keys):
+    keys = np.array(keys, dtype=np.int64)
+    got = _unique(keys)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.unique(keys).tolist()
 
 
 def test_merged_weights_add_in_input_order():

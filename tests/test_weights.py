@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import citeflow.acyclic as acyclic_mod
-import citeflow.extract as extract_mod
 import citeflow.weights as weights_mod
 from citeflow import (MODES, CycleError, Network, WeightOverflowError,
                       aged_path_counts, complete_acyclic, cpm_path, depths,
@@ -210,8 +209,7 @@ def _count_builds(monkeypatch):
         return groups(net, by_tail)
 
     monkeypatch.setattr(acyclic_mod, "_level_sweep", level_sweep)
-    for mod in (weights_mod, extract_mod):  # each passes its own import
-        monkeypatch.setattr(mod, "_stage_groups", stage_groups)
+    monkeypatch.setattr(acyclic_mod, "_stage_groups", stage_groups)
     return calls
 
 
