@@ -1,6 +1,19 @@
 """Flow weights, main paths, islands and hub/authority scores for large
 acyclic citation networks."""
 
+import os
+import sys
+
+# citeflow makes no BLAS call that grows with the network: if it loads numpy,
+# OpenBLAS starts one thread, and the variable is unset again right after.
+if "numpy" not in sys.modules and not any(var in os.environ for var in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .network import (ArcWeights, MODES, Network, complete_acyclic,
                       random_dag, simplify)
 from .pajek import (PajekParseError, format_number, parse_pajek, write_pajek,

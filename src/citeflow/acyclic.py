@@ -269,18 +269,25 @@ def _stage_groups(net: Network, by_tail: bool):
 
 
 def _sweep(c: np.ndarray, net: Network, backward: bool, plus, times=None,
-           factor=None, cap: int | None = None) -> np.ndarray:
+           factor=None, cap: int | None = None,
+           after: int | None = None) -> np.ndarray:
     """The one DAG recurrence, run in place over the cached `_stage_groups`
     schedule of `net`: stage by stage, every head v takes c[v] = c[v] ⊕ (⊕
     of c[tail(a)] ⊗ factor over its in-arcs a); with `backward` every tail,
     highest stage first, over its out-arcs' heads.  ⊕ is the ufunc `plus`
     and ⊗ the ufunc `times`; `factor` is None (no ⊗), one value, or an array
     indexed by arc.  Rows of a 2-D `c` combine elementwise.  With `cap`,
-    stages are cut into slices of at most cap arcs.
+    stages are cut into slices of at most cap arcs.  With `after`, stages at
+    or before that level in sweep order, which seeds from it on cannot
+    reach, are skipped.
     """
     idx, stage, runs, ends = net._memo(_stage_groups, backward)
     far = net.heads if backward else net.tails
     lo, hi = stage[:-1], stage[1:]
+    if after is not None:  # the stages ascend by level, so the cut is a slice
+        level = _levels(net)[0][ends[np.searchsorted(runs, lo)]]
+        cut = np.searchsorted(level, after, "left" if backward else "right")
+        lo, hi = (lo[:cut], hi[:cut]) if backward else (lo[cut:], hi[cut:])
     if cap:  # a slice also starts at every cap-th arc of a stage
         lo = np.concatenate([lo[:0], *map(np.arange, lo.tolist(), hi.tolist(),
                                           [cap] * len(lo))])

@@ -157,19 +157,23 @@ def _closures(net: Network) -> tuple[np.ndarray, np.ndarray]:
     sources, one bit each, in (n+1)*_WORDS words: stage by stage, every
     vertex ORs in the bitsets of its far endpoints.  Ancestors sweep the
     stages of the heads from low to high, descendants those of the tails
-    from high to low.
+    from high to low.  The blocks take the sources in level order, so a
+    block's ancestor sweep starts past its lowest level and its descendant
+    sweep past its highest.
     """
     n = net.n
+    level, order = _dag_levels(net)
     sizes = []
     for backward in (False, True):
         counts = np.zeros(n + 1, dtype=np.int64)
-        for first in range(1, n + 1, 64 * _WORDS):
-            src = np.arange(first, min(first + 64 * _WORDS, n + 1))
+        for first in range(0, n, 64 * _WORDS):
+            src = order[first:first + 64 * _WORDS]
             bits = np.zeros((n + 1, -(-len(src) // 64)), dtype=np.uint64)
-            bit = src - first
+            bit = np.arange(len(src))
             bits[src, bit >> 6] = np.uint64(1) << (bit & 63).astype(np.uint64)
             # slices of at most n+1 arcs keep each gather within the bitsets
-            _sweep(bits, net, backward, np.bitwise_or, cap=n + 1)
+            _sweep(bits, net, backward, np.bitwise_or, cap=n + 1,
+                   after=level[src[-1 if backward else 0]])
             counts += np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
         sizes.append(counts)
     return tuple(sizes)

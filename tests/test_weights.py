@@ -171,8 +171,26 @@ def _layered(layers, width):
         for a in range(1, width + 1) for b in range(1, width + 1)])
 
 
-@pytest.mark.parametrize("net", [random_dag(150, 0.05, seed=7),
-                                 _layered(6, 12)], ids=["random", "layered"])
+def _uneven_levels(seed):
+    """100 roots, a chain of 40 one-vertex levels, then 80 leaves, with the
+    ids shuffled: blocks of 64 sources in level order span one level, many
+    levels, or a few."""
+    rng = np.random.default_rng(seed)
+    roots, chain, leaves = np.split(rng.permutation(np.arange(1, 221)),
+                                    [100, 140])
+    arcs = [(r, chain[0]) for r in roots[::3]]
+    arcs += list(zip(chain[:-1], chain[1:]))
+    arcs += [(chain[-1], v) for v in leaves[::2]]
+    arcs += [(roots[i], leaves[j]) for i, j in
+             zip(rng.integers(0, 100, 60), rng.integers(0, 80, 60))]
+    arcs += [(chain[i], leaves[j]) for i, j in
+             zip(rng.integers(0, 40, 30), rng.integers(0, 80, 30))]
+    return Network(220, sorted({(int(t), int(h)) for t, h in arcs}))
+
+
+@pytest.mark.parametrize(
+    "net", [random_dag(150, 0.05, seed=7), _layered(6, 12), _uneven_levels(0),
+            _uneven_levels(1)], ids=["random", "layered", "uneven0", "uneven1"])
 def test_nppc_over_several_blocks(monkeypatch, net):
     monkeypatch.setattr(weights_mod, "_WORDS", 1)  # 64 sources per block
     anc, desc = oracles.closure_counts(net.n, arcs_of(net))
