@@ -23,9 +23,9 @@ from .acyclic import (CycleError, DepthMap, Partition, StandardizedNetwork,
                       remove_loops, shrink_components, standardize,
                       strong_components, topological_order)
 from .stats import NetworkStats, format_stats, network_stats
-from .weights import (PathPolynomials, WeightOverflowError, WeightResult,
-                      aged_path_counts, log_transform, normalize, nppc,
-                      path_polynomials, spc, splc, spnp, sum_weights)
+from .weights import (WeightOverflowError, WeightResult, aged_path_counts,
+                      log_transform, normalize, nppc, spc, splc, spnp,
+                      sum_weights)
 from .extract import (Island, IslandSet, Subnetwork, arc_cut, cpm_path,
                       islands, main_path, write_subnetwork)
 from .rank import HitsScores, hits
@@ -35,14 +35,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcWeights", "CycleError", "DepthMap", "HitsScores", "Island",
     "IslandSet", "MODES", "Network", "NetworkStats", "PajekParseError",
-    "Partition", "PathPolynomials", "StandardizedNetwork", "Subnetwork",
-    "TopologicalOrder", "WeightOverflowError", "WeightResult",
-    "aged_path_counts", "arc_cut", "complete_acyclic", "cpm_path", "depths",
-    "format_number", "format_stats", "hits", "is_acyclic", "islands",
-    "log_transform", "main_path", "network_stats", "normalize", "nppc",
-    "parse_pajek", "path_polynomials", "preprint_transform", "random_dag",
-    "remove_loops", "shrink_components", "simplify", "spc", "splc", "spnp",
-    "standardize", "strong_components", "sum_weights",
-    "topological_order", "write_pajek", "write_partition", "write_subnetwork",
-    "write_vector",
+    "Partition", "StandardizedNetwork", "Subnetwork", "TopologicalOrder",
+    "WeightOverflowError", "WeightResult", "aged_path_counts", "arc_cut",
+    "complete_acyclic", "cpm_path", "depths", "format_number",
+    "format_stats", "hits", "is_acyclic", "islands", "log_transform",
+    "main_path", "network_stats", "normalize", "nppc", "parse_pajek",
+    "preprint_transform", "random_dag", "remove_loops",
+    "shrink_components", "simplify", "spc", "splc", "spnp", "standardize",
+    "strong_components", "sum_weights", "topological_order", "write_pajek",
+    "write_partition", "write_subnetwork", "write_vector",
 ]

@@ -177,32 +177,30 @@ def topological_order(net: Network) -> TopologicalOrder:
     return TopologicalOrder(tuple(order.tolist()), tuple(position.tolist()))
 
 
-def _levels(net: Network, reverse: bool = False):
+def _levels(net: Network):
     """Longest-path depth of every vertex from the in-degree-0 frontier,
     and the one acyclicity test: the network is acyclic iff len(order) == n.
 
     Frontier-batched Kahn sweep: level(v) = length of the longest arc path
-    from any source to v.  With `reverse` the arcs are walked backwards.
-    Returns (level array indexed 0..n, -1 at index 0 and at the vertices
-    Kahn's algorithm leaves over, which lie on a cycle or after one; the
-    vertices it emptied, frontier by frontier, as one flat array), computed
-    once per direction and kept on `net`; the arrays are read-only.
+    from any source to v.  Returns (level array indexed 0..n, -1 at index 0
+    and at the vertices Kahn's algorithm leaves over, which lie on a cycle
+    or after one; the vertices it emptied, frontier by frontier, as one flat
+    array), computed once and kept on `net`; the arrays are read-only.
     """
-    return net._memo(_level_sweep, reverse)
+    return net._memo(_level_sweep)
 
 
-def _dag_levels(net: Network, reverse: bool = False):
+def _dag_levels(net: Network):
     """(level, order) of `_levels`; raises CycleError on a cycle."""
-    level, order = _levels(net, reverse)
+    level, order = _levels(net)
     if len(order) < net.n:
-        raise CycleError(_cycle_witness(net, level < 0, reverse))
+        raise CycleError(_cycle_witness(net, level < 0))
     return level, order
 
 
-def _level_sweep(net: Network, reverse):
-    n = net.n
-    heads = net.tails if reverse else net.heads
-    ptr, arcs = net._adjacency(reverse)
+def _level_sweep(net: Network):
+    n, heads = net.n, net.heads
+    ptr, arcs = net._adjacency()
     indeg = np.bincount(heads, minlength=n + 1)
     level = np.full(n + 1, -1, dtype=np.int64)
     frontier = np.flatnonzero(indeg[1:] == 0) + 1
@@ -224,21 +222,19 @@ def _level_sweep(net: Network, reverse):
     return level, order
 
 
-def _cycle_witness(net, stuck: np.ndarray, reverse) -> int:
+def _cycle_witness(net, stuck: np.ndarray) -> int:
     """A vertex on a cycle, given the mask `stuck` (indexed 0..n; index 0,
     no vertex, is skipped) of the vertices Kahn's algorithm left over.
 
-    From the smallest stuck vertex, walk to the first predecessor
-    (successor with `reverse`) that is stuck, until a vertex repeats: every
-    stuck vertex has such a neighbour, and the walk is finite.
+    From the smallest stuck vertex, walk to the first predecessor that is
+    stuck, until a vertex repeats: every stuck vertex has such a
+    predecessor, and the walk is finite.
     """
-    arcs_of = net.out_arcs if reverse else net.in_arcs
-    ends = net.heads if reverse else net.tails
     v = int(np.flatnonzero(stuck[1:])[0]) + 1
     seen: set[int] = set()
     while v not in seen:
         seen.add(v)
-        near = ends[arcs_of(v)]
+        near = net.predecessors(v)
         v = int(near[stuck[near]][0])
     return v
 
@@ -383,11 +379,13 @@ class DepthMap:
 
 
 def depths(std: StandardizedNetwork) -> DepthMap:
-    """The input's forward and backward levels, each one arc further from
-    s (from t); s and t lie H = (input depth) + 2 apart, or 0 apart when
-    the input has no vertex and (t, s) is the only arc."""
-    fwd, bwd = (_dag_levels(std.net, back)[0][1:] + 1
-                for back in (False, True))
+    """h: the input's levels, one arc further from s; h_minus: one backward
+    max-plus stage sweep, one arc further from t.  s and t lie H = (input
+    depth) + 2 apart, or 0 apart when the input has no vertex."""
+    net = std.net
+    fwd = _dag_levels(net)[0][1:] + 1
+    bwd = _sweep(np.zeros(net.n + 1, dtype=np.int64), net, True, np.maximum,
+                 np.add, 1)[1:] + 1
     H = int(fwd.max()) + 1 if fwd.size else 0
     return DepthMap(tuple(fwd.tolist()) + (0, H),
                     tuple(bwd.tolist()) + (H, 0), H)

@@ -7,11 +7,12 @@ versions and a checksum per emitted file, so a run can be audited and
 repeated; outputs are byte-identical across repeats (the manifest timestamp
 aside).
 
-Exit codes: 0 success, 2 bad arguments, 3 unreadable or malformed input,
-4 cyclic input where an acyclic one is required, 5 numeric overflow (float
-counts under --mode float, or an exact fraction with no float rendering).
-Exit 0 also when stdout's reader leaves early (`| head`): files are
-written first.
+Exit codes: 0 success, 2 bad arguments or an --out that cannot be written
+to, 3 unreadable or malformed input, 4 cyclic input where an acyclic one is
+required, 5 numeric overflow (float counts under --mode float, or an exact
+fraction with no float rendering).  Exit 0 also when stdout's reader leaves
+early (`| head`): files are written first; and when positive exact values
+below the double range are written as 0, which one stderr line counts.
 """
 
 from __future__ import annotations
@@ -214,31 +215,41 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _zeros(result, *columns) -> int:
+    """Positive exact values in `columns` that render as 0 (<= 2**-1075)."""
+    if result.arc.mode != "exact":
+        return 0
+    return sum(type(v) is Fraction and not float(v) and v > 0
+               for col in columns for v in col)
+
+
 def _finish(args, input_raw: bytes, params: dict, files: dict[str, str],
-            stdout_text: str) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    records = []
-    for name, text in files.items():
-        with open(outdir / name, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write(text)
-        records.append({"path": name,
-                        "sha256": hashlib.sha256(text.encode()).hexdigest()})
+            stdout_text: str, zeros: int = 0) -> int:
     manifest = {
         "command": args.command,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "input": {"path": args.input,
                   "sha256": hashlib.sha256(input_raw).hexdigest()},
-        "outputs": records,
+        "outputs": [{"path": name,
+                     "sha256": hashlib.sha256(text.encode()).hexdigest()}
+                    for name, text in files.items()],
         "parameters": {k: _jsonable(v) for k, v in sorted(params.items())},
         "versions": {"citeflow": __version__,
                      "numpy": np.__version__,
                      "python": "%d.%d.%d" % sys.version_info[:3]},
     }
-    with open(outdir / "manifest.json", "w", newline="\n",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files["manifest.json"] = json.dumps(manifest, indent=2,
+                                        sort_keys=True) + "\n"
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            Path(args.out, name).write_text(text, "utf-8", newline="\n")
+    except OSError as exc:
+        raise _Fail(EXIT_USAGE, f"cannot write to {args.out}: {exc}") from exc
+    if zeros:
+        print(f"citeflow: {zeros} positive exact values below the double "
+              "range written as 0; --log writes their logarithms",
+              file=sys.stderr)
     if stdout_text:
         print(stdout_text, flush=True)
     return EXIT_OK
@@ -341,7 +352,10 @@ def _cmd_weights(args) -> int:
                      "weight": _jsonable(value)}, sort_keys=True))
         files[f"{args.method}.jsonl"] = "\n".join(lines) + "\n"
 
-    return _finish(args, raw, params, files, "\n".join(summary))
+    return _finish(args, raw, params, files, "\n".join(summary),
+                   _zeros(result, arc_vals,
+                          () if result.vertex is None
+                          else result.vertex[:net.n]))
 
 
 def _cmd_mainpath(args) -> int:
@@ -352,7 +366,8 @@ def _cmd_mainpath(args) -> int:
     params["single"] = args.single
     text = (f"main path: {len(sub.vertices)} vertices, "
             f"{len(sub.arcs)} arcs (method {result.method})")
-    return _finish(args, raw, params, files, text)
+    return _finish(args, raw, params, files, text,
+                   _zeros(result, map(result.arc.__getitem__, sub.arcs)))
 
 
 def _cmd_cpm(args) -> int:
@@ -361,7 +376,8 @@ def _cmd_cpm(args) -> int:
     files = {"cpm.net": write_subnetwork(sub, result.arc)}
     text = (f"critical path: {len(sub.vertices)} vertices, "
             f"{len(sub.arcs)} arcs (method {result.method})")
-    return _finish(args, raw, _weight_params(args, mode), files, text)
+    return _finish(args, raw, _weight_params(args, mode), files, text,
+                   _zeros(result, map(result.arc.__getitem__, sub.arcs)))
 
 
 def _cmd_cut(args) -> int:
@@ -382,7 +398,8 @@ def _cmd_cut(args) -> int:
             + (f" (largest {sizes[0]})" if sizes else ""))
     params = _weight_params(args, mode)
     params["threshold"] = args.threshold
-    return _finish(args, raw, params, files, text)
+    return _finish(args, raw, params, files, text,
+                   _zeros(result, map(result.arc.__getitem__, sub.arcs)))
 
 
 def _cmd_islands(args) -> int:

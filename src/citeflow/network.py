@@ -16,6 +16,7 @@ Networks are immutable after construction.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
 from typing import Literal
 
 import numpy as np
@@ -116,7 +117,7 @@ class Network:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError("labels must have one entry per vertex")
-            if any(not isinstance(lab, str) for lab in labels):
+            if not all(map(isinstance, labels, repeat(str))):
                 raise TypeError("labels must be strings")
         self.n = int(n)
         self.labels = labels

@@ -8,7 +8,8 @@ Five weighting methods plus helpers:
 * spnp - all-paths counting: the source and sink are linked to every vertex,
          which makes the arc weight the product of the path counts ending at
          the tail and starting at the head.  aged_path_counts damps each
-         path by alpha per arc.
+         path by alpha per arc: the path-length tallies of both ends,
+         evaluated at alpha, in the same two sweeps.
 * nppc - products of ancestor and descendant set sizes (reachability
          closures), no standardization involved; sum adds the two sizes.
          Both count exactly, in O(n*m/64) word operations.
@@ -205,55 +206,7 @@ def sum_weights(net: Network, normalized: bool = False) -> WeightResult:
     return WeightResult("SUM", arc, None, None, normalized=normalized)
 
 
-# --- path polynomials and aged counts ---
-
-@dataclass(frozen=True)
-class PathPolynomials:
-    """Path-length tallies per vertex of a standardized network.
-
-    p_minus[v-1][k] counts the paths of exactly k arcs that end at v and stay
-    inside the original network; p_plus counts paths starting at v.  The
-    source (for p_minus) and sink (for p_plus) hold the zero polynomial ().
-    Coefficients are exact integers.
-    """
-
-    p_minus: tuple[tuple[int, ...], ...]
-    p_plus: tuple[tuple[int, ...], ...]
-
-    def l_minus(self) -> tuple[int, ...]:
-        """Total number of paths ending at each vertex (coefficient sums)."""
-        return tuple(sum(p) for p in self.p_minus)
-
-    def l_plus(self) -> tuple[int, ...]:
-        return tuple(sum(p) for p in self.p_plus)
-
-
-def path_polynomials(std: StandardizedNetwork) -> PathPolynomials:
-    # over the input's arcs; the (u, t) links close t, the (s, u) links s
-    pm = _polys(std.net, std.sinks, backward=False)
-    pp = _polys(std.net, std.sources, backward=True)
-    return PathPolynomials(pm[:-1] + ((),) + pm[-1:], pp + ((),))
-
-
-def _polys(net, linked, backward):
-    """Tallies of the vertices 1..n in topological order (reversed when
-    `backward`), then of the closing end n+1 over the `linked` vertices:
-    [1] (no arc), then the summed tallies of the in-arcs' tails (heads)."""
-    order = _dag_levels(net)[1].tolist()
-    ends = net.heads if backward else net.tails
-    arcs_of = net.out_arcs if backward else net.in_arcs
-    polys: list[list[int]] = [[] for _ in range(net.n + 2)]
-    for v in [*(reversed(order) if backward else order), net.n + 1]:
-        acc: list[int] = []
-        for u in (linked if v > net.n else ends[arcs_of(v)]).tolist():
-            p = polys[u]
-            if len(acc) < len(p):
-                acc.extend([0] * (len(p) - len(acc)))
-            for k, c in enumerate(p):
-                acc[k] += c
-        polys[v] = [1] + acc
-    return tuple(tuple(p) for p in polys[1:])
-
+# --- aged counts ---
 
 def aged_path_counts(std: StandardizedNetwork, alpha: float,
                      mode: Mode = "float") -> WeightResult:

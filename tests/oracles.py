@@ -8,6 +8,7 @@ under test.  Exponential, so only for small networks.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 
 
 def standard_form(n, arcs):
@@ -122,6 +123,49 @@ def paths_starting_at(n, arcs):
     reversed_arcs = [(v, u) for u, v in arcs]
     flipped = paths_ending_at(n, reversed_arcs)
     return [[tuple(reversed(p)) for p in plist] for plist in flipped]
+
+
+@dataclass(frozen=True)
+class PathPolynomials:
+    """Path-length tallies per vertex of the standard form (index v-1).
+
+    p_minus[v-1][k] counts the paths of exactly k arcs that end at v and
+    start inside the input network; p_plus counts paths starting at v that
+    end inside it.  The source (for p_minus) and the sink (for p_plus) hold
+    the zero polynomial ().  Evaluated at alpha, p_minus(alpha) *
+    p_plus(alpha) is a vertex's exact aged all-paths weight.
+    """
+
+    p_minus: tuple[tuple[int, ...], ...]
+    p_plus: tuple[tuple[int, ...], ...]
+
+    def l_minus(self) -> tuple[int, ...]:
+        """Total number of paths ending at each vertex (coefficient sums)."""
+        return tuple(sum(p) for p in self.p_minus)
+
+    def l_plus(self) -> tuple[int, ...]:
+        return tuple(sum(p) for p in self.p_plus)
+
+
+def path_polynomials(n, arcs):
+    """PathPolynomials by enumeration: the paths ending at t come in
+    through the (u, t) links, those starting at s leave through (s, u)."""
+    s, t, full = standard_form(n, arcs)
+    p_minus = _tallies(paths_ending_at(t, [a for a in full[:-1] if a[0] != s]))
+    p_plus = _tallies(paths_starting_at(t, [a for a in full[:-1] if a[1] != t]))
+    p_minus[s - 1] = p_plus[t - 1] = ()
+    return PathPolynomials(tuple(p_minus), tuple(p_plus))
+
+
+def _tallies(paths_by_vertex):
+    """Per vertex, how many of its paths have 0, 1, 2, ... arcs."""
+    out = []
+    for paths in paths_by_vertex:
+        counts = [0] * max(map(len, paths))
+        for p in paths:
+            counts[len(p) - 1] += 1
+        out.append(tuple(counts))
+    return out
 
 
 def spnp_oracle(n, arcs):

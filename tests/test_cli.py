@@ -227,15 +227,14 @@ def test_mainpath_computes_the_input_levels_once(tmp_path, monkeypatch,
     sweep = citeflow.acyclic._level_sweep
     calls = []
 
-    def counted(net, reverse):
-        calls.append((net.n, reverse))
-        return sweep(net, reverse)
+    def counted(net):
+        calls.append(net.n)
+        return sweep(net)
 
     monkeypatch.setattr(citeflow.acyclic, "_level_sweep", counted)
     assert run(["mainpath", diamond_file, "--method", method,
                 "--out", tmp_path / "out"]) == 0
-    assert calls.count((4, False)) == 1  # is_acyclic and standardize
-    assert len(calls) == len(set(calls))
+    assert calls == [4]  # is_acyclic and standardize
 
 
 def test_cpm_and_cut_outputs(tmp_path):
@@ -426,6 +425,39 @@ def test_exact_log_beyond_the_double_range(tmp_path, capsys):
     capsys.readouterr()
     assert set(_arc_rows(tmp_path / "o" / "spc.net").values()) == {
         repr(math.log(2 ** 1029))}
+
+
+def test_exact_shares_below_the_double_range_are_counted(tmp_path, capsys):
+    # a lone arc beside 2**1080 paths: its share and its two vertices'
+    # lie below the smallest double and are written as 0
+    chain = _diamond_chain(1080)
+    net = Network(chain.n + 2, arcs_of(chain) + [(chain.n + 1, chain.n + 2)])
+    path = tmp_path / "deep.net"
+    path.write_text(write_pajek(net))
+    for args, name, count in [(["weights"], "spc.net", 3),
+                              (["cut", "--threshold", "0"], "cut.net", 1)]:
+        out = tmp_path / args[0]
+        assert run([args[0], path, "--mode", "exact", "--normalize",
+                    *args[1:], "--out", out]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"citeflow: {count} ")
+        assert "--log" in err[0]
+        lone = (str(net.n - 1), str(net.n))
+        assert _arc_rows(out / name)[lone] == "0"
+        logs = tmp_path / f"{args[0]}-log"
+        assert run([args[0], path, "--mode", "exact", "--normalize", "--log",
+                    *args[1:], "--out", logs]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_unusable_out_is_a_usage_error(tmp_path, diamond_file, capsys):
+    for command, out in [("stats", diamond_file),
+                         ("weights", diamond_file / "sub")]:
+        assert run([command, diamond_file, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"citeflow: error: cannot write to {out}: ")
+        assert len(err.splitlines()) == 1
+    assert diamond_file.read_text() == DIAMOND
 
 
 def _wide_diamond_chain(blocks, width):

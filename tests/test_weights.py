@@ -9,8 +9,7 @@ import citeflow.weights as weights_mod
 from citeflow import (MODES, CycleError, Network, WeightOverflowError,
                       aged_path_counts, complete_acyclic, cpm_path, depths,
                       log_transform, main_path, normalize, nppc,
-                      path_polynomials, random_dag, spc, splc, spnp,
-                      standardize, sum_weights)
+                      random_dag, spc, splc, spnp, standardize, sum_weights)
 
 import oracles
 from conftest import arcs_of, rand_instance
@@ -218,9 +217,9 @@ def _count_builds(monkeypatch):
     calls = []
     sweep, groups = acyclic_mod._level_sweep, acyclic_mod._stage_groups
 
-    def level_sweep(net, reverse):
-        calls.append(("levels", id(net), reverse))
-        return sweep(net, reverse)
+    def level_sweep(net):
+        calls.append(("levels", id(net)))
+        return sweep(net)
 
     def stage_groups(net, by_tail):
         calls.append(("stages", id(net), by_tail))
@@ -239,8 +238,8 @@ def _every_method(net, std, w, cpm_first):
               for fn in (spc, splc, spnp) for mode in MODES]
     calls += [lambda mode=mode: aged_path_counts(std(), 0.5, mode)
               for mode in MODES]
-    calls += [lambda: depths(std()), lambda: path_polynomials(std()),
-              lambda: nppc(net()), lambda: sum_weights(net())]
+    calls += [lambda: depths(std()), lambda: nppc(net()),
+              lambda: sum_weights(net())]
     if not cpm_first:
         calls.append(calls.pop(0))
     out = []
@@ -265,10 +264,10 @@ def test_schedule_is_built_once_per_key(monkeypatch):
     for cpm_first in (True, False, True):
         _every_method(lambda: net, lambda: std, w, cpm_first)
     assert len(calls) == len(set(calls))
-    # every sweep runs on net: its levels forward and (depths) backward,
-    # one schedule per direction shared by flows, cpm and closures
+    # every sweep runs on net: its levels once, one schedule per direction
+    # shared by flows, cpm, depths and closures
     assert all(c[1] == id(net) for c in calls)
-    assert [c[0] for c in calls].count("levels") == 2
+    assert [c[0] for c in calls].count("levels") == 1
     assert [c[0] for c in calls].count("stages") == 2
 
 
@@ -286,12 +285,11 @@ def test_sweeps_cache_nothing_on_the_standard_form():
     main_path(std, w, single=True)
     nppc(net)
     sum_weights(net)
-    path_polynomials(std)
     assert std.base._memos == {}
-    # the input's CSR, levels and schedule, one of each per direction
-    assert sorted(net._memos) == sorted(
-        (name, back) for name in ("_csr", "_level_sweep", "_stage_groups")
-        for back in (False, True))
+    # the input's forward CSR and levels, and its schedule per direction
+    assert sorted(net._memos) == [("_csr", False), ("_level_sweep",),
+                                  ("_stage_groups", False),
+                                  ("_stage_groups", True)]
 
 
 @pytest.mark.parametrize("cpm_first", [True, False])
@@ -371,7 +369,7 @@ def test_dk_arc_weights_closed_form():
 # --- polynomials and aged counts ---
 
 def test_path_polynomials_diamond(diamond):
-    pp = path_polynomials(standardize(diamond))
+    pp = oracles.path_polynomials(diamond.n, arcs_of(diamond))
     assert pp.p_minus == ((1,), (1, 1), (1, 1), (1, 2, 2), (), (1, 1, 2, 2))
     assert pp.p_plus[0] == (1, 2, 2)
     assert pp.l_minus() == (1, 2, 2, 5, 0, 6)
@@ -385,7 +383,7 @@ def test_path_polynomials_diamond(diamond):
      ((1, 1), (1,), (1, 1, 1), ())),
 ], ids=["empty", "isolated", "single-arc"])
 def test_path_polynomials_on_tiny_networks(n, arcs, p_minus, p_plus):
-    pp = path_polynomials(standardize(Network(n, arcs)))
+    pp = oracles.path_polynomials(n, arcs)
     assert (pp.p_minus, pp.p_plus) == (p_minus, p_plus)
     ending = oracles.paths_ending_at(n, arcs)
     assert pp.l_minus()[:n] == tuple(map(len, ending))
@@ -394,7 +392,7 @@ def test_path_polynomials_on_tiny_networks(n, arcs, p_minus, p_plus):
 @pytest.mark.parametrize("seed", range(10))
 def test_polynomial_coefficients_count_paths_by_length(seed):
     net, arcs = rand_instance(seed, n=8, density=0.3)
-    pp = path_polynomials(standardize(net))
+    pp = oracles.path_polynomials(net.n, arcs)
     by_vertex = oracles.paths_ending_at(net.n, arcs)
     for v in range(1, net.n + 1):
         lengths = {}
@@ -404,6 +402,31 @@ def test_polynomial_coefficients_count_paths_by_length(seed):
                        for k in range(max(lengths) + 1)) if lengths else ()
         assert pp.p_minus[v - 1] == expect
         assert sum(pp.p_minus[v - 1]) == len(by_vertex[v - 1])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.75, 0.5, 0.25])
+def test_path_polynomials_match_exact_aging(diamond, alpha):
+    nets = [diamond] + [random_dag(6 + seed % 7, 0.35, seed)
+                        for seed in range(20)]
+    a = Fraction(alpha)
+    for net in nets:
+        std = standardize(net)
+        res = aged_path_counts(std, alpha, "exact")
+        pp = oracles.path_polynomials(net.n, arcs_of(net))
+        minus = [sum(c * a**k for k, c in enumerate(p))
+                 for p in pp.p_minus[:net.n]]
+        plus = [sum(c * a**k for k, c in enumerate(p))
+                for p in pp.p_plus[:net.n]]
+        # every vertex is linked to s and t: s ends no path, t starts none,
+        # and each closes all of them undamped
+        minus += [1, sum(minus)]
+        plus += [sum(plus), 1]
+        assert list(res.vertex) == [x * y for x, y in zip(minus, plus)]
+        *arcs, _ = zip(std.base.tails.tolist(),
+                       std.base.heads.tolist())
+        assert list(res.arc) == [minus[u - 1] * plus[v - 1]
+                                 for u, v in arcs] + [sum(minus[:net.n])]
+        assert res.total_flow == sum(minus[:net.n]) == sum(plus[:net.n])
 
 
 @pytest.mark.parametrize("mode", ["float", "exact", "log"])
