@@ -1,18 +1,22 @@
 """Command line front end.
 
 One subcommand per analysis step: `stats`, `repair`, `weights`, `mainpath`,
-`cpm`, `cut`, `islands`, `hits`.  Every run drops a manifest.json next to
-its outputs recording the input checksum, the resolved parameters, library
-versions and a checksum per emitted file, so a run can be audited and
-repeated; outputs are byte-identical across repeats (the manifest timestamp
-aside).
+`cpm`, `cut`, `islands`, `hits`.  `main` alone touches files: it reads the
+input once (`_load` keeps its sha256, not its bytes), passes the parsed
+network to the subcommand, and writes what that returns once (`_finish`).
+Every run drops a manifest.json next to its outputs recording the input
+checksum, the resolved parameters, library versions and a checksum per
+emitted file, so a run can be audited and repeated; outputs are
+byte-identical across repeats (the manifest timestamp aside).
 
-Exit codes: 0 success, 2 bad arguments or an --out that cannot be written
-to, 3 unreadable or malformed input, 4 cyclic input where an acyclic one is
-required, 5 numeric overflow (float counts under --mode float, or an exact
-fraction with no float rendering).  Exit 0 also when stdout's reader leaves
-early (`| head`): files are written first; and when positive exact values
-below the double range are written as 0, which one stderr line counts.
+Exit codes: 0 success, 2 bad arguments (a NaN --threshold or a negative
+--top among them) or an --out that cannot be written to, 3 unreadable or
+malformed input, 4 cyclic input where an acyclic one is required, 5 numeric
+overflow (float counts under --mode float, float cpm path totals beyond the
+double range, or an exact fraction with no float rendering).  Exit 0 also
+when stdout's reader leaves early (`| head`): files are written first; and
+when positive exact values below the double range are written or printed
+as 0, which one stderr line counts.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
 
@@ -134,29 +139,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # --- shared plumbing ---
 
-def _load(path: str) -> tuple[bytes, Network]:
+def _load(path: str) -> tuple[str, Network]:
+    """The input's sha256 and the network it holds; its bytes end here."""
     try:
         raw = Path(path).read_bytes()
+        digest, text = hashlib.sha256(raw).hexdigest(), raw.decode("utf-8")
+        del raw
+        return digest, parse_pajek(text)
     except OSError as exc:
         raise _Fail(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
-    try:
-        net = parse_pajek(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise _Fail(EXIT_PARSE, f"{path} is not UTF-8 text: {exc}") from exc
     except PajekParseError as exc:
         raise _Fail(EXIT_PARSE, f"{path}: {exc}") from exc
-    return raw, net
-
-
-def _acyclic_or_repair(net: Network, strategy: str | None) -> tuple[Network, str]:
-    """Either confirm the network is acyclic or apply the chosen repair."""
-    if is_acyclic(net):
-        return net, "none"
-    if strategy is None:
-        raise _Fail(EXIT_CYCLIC,
-                    "input network is cyclic; rerun with --repair shrink "
-                    "or --repair preprint")
-    return _repaired(net, strategy), strategy
 
 
 def _repaired(net: Network, strategy: str, part=None) -> Network:
@@ -166,53 +161,10 @@ def _repaired(net: Network, strategy: str, part=None) -> Network:
     return preprint_transform(remove_loops(net), part)
 
 
-def _compute(net: Network, method: str, mode: str | None,
-             alpha: float | None):
-    """Run one weighting method; returns (standardized | None, result).
-    Without a mode, float counts that overflow are rerun in log mode."""
-    if alpha is not None and method != "spnp":
-        raise _Fail(EXIT_USAGE, "--alpha applies to --method spnp only")
-    if method == "nppc":
-        return None, nppc(net)
-    if method == "sum":
-        return None, sum_weights(net)
-    std = standardize(net)
-
-    def counts(mode: str):
-        if alpha is not None:
-            return aged_path_counts(std, alpha, mode)
-        return {"spc": spc, "splc": splc, "spnp": spnp}[method](std, mode)
-
-    try:
-        return std, counts(mode or "float")
-    except ValueError as exc:  # --alpha outside (0, 1]
-        raise _Fail(EXIT_USAGE, str(exc)) from exc
-    except WeightOverflowError as exc:
-        if mode is not None:
-            raise _Fail(EXIT_OVERFLOW, str(exc)) from exc
-    print("citeflow: float counts exceed the double range; running in log "
-          "mode", file=sys.stderr)
-    return std, counts("log")
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def _table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w)
-                               for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                     for row in (header, *rows))
 
 
 def _zeros(result, *columns) -> int:
@@ -223,47 +175,50 @@ def _zeros(result, *columns) -> int:
                for col in columns for v in col)
 
 
-def _finish(args, input_raw: bytes, params: dict, files: dict[str, str],
+def _finish(args, digest: str, params: dict, files: dict[str, str],
             stdout_text: str, zeros: int = 0) -> int:
-    manifest = {
-        "command": args.command,
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "input": {"path": args.input,
-                  "sha256": hashlib.sha256(input_raw).hexdigest()},
-        "outputs": [{"path": name,
-                     "sha256": hashlib.sha256(text.encode()).hexdigest()}
-                    for name, text in files.items()],
-        "parameters": {k: _jsonable(v) for k, v in sorted(params.items())},
-        "versions": {"citeflow": __version__,
-                     "numpy": np.__version__,
-                     "python": "%d.%d.%d" % sys.version_info[:3]},
-    }
-    files["manifest.json"] = json.dumps(manifest, indent=2,
-                                        sort_keys=True) + "\n"
+    """Write each output, encoded once and hashed as written, then the
+    manifest; then the zero count and stdout."""
+    outputs = []
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            Path(args.out, name).write_text(text, "utf-8", newline="\n")
+            data = text.encode()
+            Path(args.out, name).write_bytes(data)
+            outputs.append({"path": name,
+                            "sha256": hashlib.sha256(data).hexdigest()})
+        manifest = {
+            "command": args.command,
+            "created_utc": datetime.now(timezone.utc).isoformat(
+                timespec="seconds"),
+            "input": {"path": args.input, "sha256": digest},
+            "outputs": outputs,
+            "parameters": params,
+            "versions": {"citeflow": __version__,
+                         "numpy": np.__version__,
+                         "python": "%d.%d.%d" % sys.version_info[:3]},
+        }
+        Path(args.out, "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8",
+            newline="\n")
     except OSError as exc:
         raise _Fail(EXIT_USAGE, f"cannot write to {args.out}: {exc}") from exc
     if zeros:
         print(f"citeflow: {zeros} positive exact values below the double "
-              "range written as 0; --log writes their logarithms",
+              "range written or printed as 0; --log gives their logarithms",
               file=sys.stderr)
     if stdout_text:
         print(stdout_text, flush=True)
     return EXIT_OK
 
 
-# --- commands ---
+# --- commands: (args, network) -> (parameters, files, stdout[, zeros]) ---
 
-def _cmd_stats(args) -> int:
-    raw, net = _load(args.input)
-    return _finish(args, raw, {}, {}, format_stats(network_stats(net)))
+def _cmd_stats(args, net):
+    return {}, {}, format_stats(network_stats(net))
 
 
-def _cmd_repair(args) -> int:
-    raw, net = _load(args.input)
+def _cmd_repair(args, net):
     part = strong_components(net)  # loops keep the SCCs
     fixed = _repaired(net, args.strategy, part)
     nontrivial = sum(1 for size in part.sizes() if size > 1)
@@ -275,23 +230,45 @@ def _cmd_repair(args) -> int:
              f"acyclic             {is_acyclic(fixed)}"]
     files = {"acyclic.net": write_pajek(fixed),
              "components.clu": write_partition(part.class_of)}
-    return _finish(args, raw, {"strategy": args.strategy}, files,
-                   "\n".join(lines))
+    return {"strategy": args.strategy}, files, "\n".join(lines)
 
 
-def _weight_params(args, mode: str) -> dict:
-    return {"method": args.method, "mode": mode, "alpha": args.alpha,
-            "repair": args.repair, "normalize": args.normalize,
-            "log": args.log}
+def _weighted(args, net: Network):
+    """Front half shared by every weight-driven command: simplify, repair or
+    reject cycles, compute (float counts that overflow without --mode are
+    rerun in log mode), then normalize / take logs.  Returns (network,
+    standardized | None, result, manifest parameters, repair applied)."""
+    net, repaired = simplify(net), "none"
+    if not is_acyclic(net):
+        if args.repair is None:
+            raise _Fail(EXIT_CYCLIC, "input network is cyclic; rerun with "
+                        "--repair shrink or --repair preprint")
+        net, repaired = _repaired(net, args.repair), args.repair
+    if args.alpha is not None and args.method != "spnp":
+        raise _Fail(EXIT_USAGE, "--alpha applies to --method spnp only")
+    std = result = None
+    if args.method in ("nppc", "sum"):
+        result = {"nppc": nppc, "sum": sum_weights}[args.method](net)
+    else:
+        std = standardize(net)
 
+        def counts(mode: str):
+            if args.alpha is not None:
+                return aged_path_counts(std, args.alpha, mode)
+            return {"spc": spc, "splc": splc, "spnp": spnp}[args.method](
+                std, mode)
 
-def _weighted(args):
-    """Front half shared by every weight-driven command: parse, simplify,
-    repair or reject cycles, compute, then normalize / take logs."""
-    raw, net = _load(args.input)
-    net = simplify(net)
-    net, repaired = _acyclic_or_repair(net, args.repair)
-    std, result = _compute(net, args.method, args.mode, args.alpha)
+        try:
+            result = counts(args.mode or "float")
+        except ValueError as exc:  # --alpha outside (0, 1]
+            raise _Fail(EXIT_USAGE, str(exc)) from exc
+        except WeightOverflowError:
+            if args.mode is not None:
+                raise
+            print("citeflow: float counts exceed the double range; running "
+                  "in log mode", file=sys.stderr)
+        if result is None:
+            result = counts("log")
     mode = result.arc.mode  # what ran: nppc and sum are always exact
     try:
         if args.normalize:
@@ -300,11 +277,21 @@ def _weighted(args):
             result = log_transform(result)
     except ValueError as exc:
         raise _Fail(EXIT_USAGE, str(exc)) from exc
-    return raw, net, std, result, mode, repaired
+    params = {"method": args.method, "mode": mode, "alpha": args.alpha,
+              "repair": args.repair, "normalize": args.normalize,
+              "log": args.log}
+    return net, std, result, params, repaired
 
 
-def _cmd_weights(args) -> int:
-    raw, net, std, result, mode, repaired = _weighted(args)
+def _subnetwork(params, name, sub, result, text):
+    """The return of a command that writes `sub` with its weights."""
+    return (params, {name: write_subnetwork(sub, result.arc)}, text,
+            _zeros(result, map(result.arc.__getitem__, sub.arcs)))
+
+
+def _cmd_weights(args, net):
+    net, std, result, params, repaired = _weighted(args, net)
+    mode = params["mode"]
     arc_vals = result.arc.tolist()[:net.m]  # the input's arcs come first
     files = {f"{args.method}.net": write_pajek(net, arc_vals)}
     if result.vertex is not None:
@@ -320,7 +307,7 @@ def _cmd_weights(args) -> int:
     if result.total_flow is not None:
         summary.append(f"totalFlow    {format_number(result.total_flow)}")
     summary.append(f"normalized   {'yes' if result.normalized else 'no'}")
-    if net.m:
+    if net.m:  # every value printed here is also written
         if result.arc.mode == "exact":  # exact midpoint of the middle pair
             ordered, k = sorted(arc_vals), net.m // 2
             spread = (ordered[0], Fraction(ordered[k] + ordered[~k]) / 2,
@@ -332,56 +319,50 @@ def _cmd_weights(args) -> int:
                        % tuple(map(format_number, spread)))
     if args.log:
         summary.append(f"floored      {len(result.floored)} zero-weight arcs")
-    params = _weight_params(args, mode)
 
-    if args.jsonl:
-        lines = [json.dumps({
+    if args.jsonl:  # exact fractions as strings
+        record = partial(json.dumps, sort_keys=True, default=str)
+        lines = [record({
             "record": "summary", "method": result.method, "mode": mode,
             "alpha": result.alpha, "normalized": result.normalized,
-            "total_flow": _jsonable(result.total_flow),
-            "vertices": net.n, "arcs": net.m}, sort_keys=True)]
-        for i, value in enumerate(arc_vals):
-            lines.append(json.dumps(
-                {"record": "arc", "index": i, "tail": int(net.tails[i]),
-                 "head": int(net.heads[i]), "weight": _jsonable(value)},
-                sort_keys=True))
+            "total_flow": result.total_flow, "vertices": net.n,
+            "arcs": net.m})]
+        lines += [record({"record": "arc", "index": i, "tail": t,
+                          "head": h, "weight": value})
+                  for i, (t, h, value) in enumerate(zip(
+                      net.tails.tolist(), net.heads.tolist(), arc_vals))]
         if result.vertex is not None:
-            for v, value in enumerate(list(result.vertex)[:net.n], start=1):
-                lines.append(json.dumps(
-                    {"record": "vertex", "id": v,
-                     "weight": _jsonable(value)}, sort_keys=True))
+            lines += [record({"record": "vertex", "id": v, "weight": value})
+                      for v, value in enumerate(
+                          list(result.vertex)[:net.n], start=1)]
         files[f"{args.method}.jsonl"] = "\n".join(lines) + "\n"
 
-    return _finish(args, raw, params, files, "\n".join(summary),
-                   _zeros(result, arc_vals,
-                          () if result.vertex is None
-                          else result.vertex[:net.n]))
+    return params, files, "\n".join(summary), _zeros(
+        result, arc_vals, () if result.vertex is None
+        else result.vertex[:net.n])
 
 
-def _cmd_mainpath(args) -> int:
-    raw, net, std, result, mode, repaired = _weighted(args)
+def _cmd_mainpath(args, net):
+    net, std, result, params, _ = _weighted(args, net)
     sub = main_path(std or standardize(net), result.arc, single=args.single)
-    files = {"mainpath.net": write_subnetwork(sub, result.arc)}
-    params = _weight_params(args, mode)
     params["single"] = args.single
-    text = (f"main path: {len(sub.vertices)} vertices, "
-            f"{len(sub.arcs)} arcs (method {result.method})")
-    return _finish(args, raw, params, files, text,
-                   _zeros(result, map(result.arc.__getitem__, sub.arcs)))
+    return _subnetwork(params, "mainpath.net", sub, result,
+                       f"main path: {len(sub.vertices)} vertices, "
+                       f"{len(sub.arcs)} arcs (method {result.method})")
 
 
-def _cmd_cpm(args) -> int:
-    raw, net, std, result, mode, repaired = _weighted(args)
+def _cmd_cpm(args, net):
+    net, std, result, params, _ = _weighted(args, net)
     sub = cpm_path(std or standardize(net), result.arc)
-    files = {"cpm.net": write_subnetwork(sub, result.arc)}
-    text = (f"critical path: {len(sub.vertices)} vertices, "
-            f"{len(sub.arcs)} arcs (method {result.method})")
-    return _finish(args, raw, _weight_params(args, mode), files, text,
-                   _zeros(result, map(result.arc.__getitem__, sub.arcs)))
+    return _subnetwork(params, "cpm.net", sub, result,
+                       f"critical path: {len(sub.vertices)} vertices, "
+                       f"{len(sub.arcs)} arcs (method {result.method})")
 
 
-def _cmd_cut(args) -> int:
-    raw, net, std, result, mode, repaired = _weighted(args)
+def _cmd_cut(args, net):
+    if math.isnan(args.threshold):
+        raise _Fail(EXIT_USAGE, "--threshold must be a number, got nan")
+    net, std, result, params, _ = _weighted(args, net)
     vals, threshold = result.arc.values[:net.m], args.threshold
     if result.arc.mode == "log":  # logs: cut at ln T, where T is linear
         if threshold <= 0:
@@ -391,19 +372,17 @@ def _cmd_cut(args) -> int:
             vals = np.where(np.isin(np.arange(net.m), result.floored),
                             -math.inf, vals)
     sub = arc_cut(net, ArcWeights(vals, result.arc.mode), threshold)
-    files = {"cut.net": write_subnetwork(sub, result.arc)}
     sizes = sorted((len(c) for c in sub.components), reverse=True)
-    text = (f"cut at {format_number(args.threshold)}: {len(sub.vertices)} "
-            f"vertices, {len(sub.arcs)} arcs, {len(sizes)} weak components"
-            + (f" (largest {sizes[0]})" if sizes else ""))
-    params = _weight_params(args, mode)
     params["threshold"] = args.threshold
-    return _finish(args, raw, params, files, text,
-                   _zeros(result, map(result.arc.__getitem__, sub.arcs)))
+    return _subnetwork(params, "cut.net", sub, result,
+                       f"cut at {format_number(args.threshold)}: "
+                       f"{len(sub.vertices)} vertices, {len(sub.arcs)} arcs, "
+                       f"{len(sizes)} weak components"
+                       + (f" (largest {sizes[0]})" if sizes else ""))
 
 
-def _cmd_islands(args) -> int:
-    raw, net, std, result, mode, repaired = _weighted(args)
+def _cmd_islands(args, net):
+    net, std, result, params, _ = _weighted(args, net)
     vals = ArcWeights(result.arc.values[:net.m], result.arc.mode)
     try:
         found = islands(net, vals, min_size=args.k,
@@ -418,24 +397,24 @@ def _cmd_islands(args) -> int:
     table = _table(["island", "size", "min inside", "max outside"], rows)
 
     freq = found.size_frequencies()
-    csv_lines = ["size,count"]
-    for size in range(1, found.max_size + 1):
-        csv_lines.append(f"{size},{freq.get(size, 0)}")
+    csv_lines = ["size,count"] + [f"{size},{freq.get(size, 0)}"
+                                  for size in range(1, found.max_size + 1)]
     files = {"islands.clu": write_partition(found.membership(net.n)),
              "island_sizes.csv": "\n".join(csv_lines) + "\n"}
-    params = _weight_params(args, mode)
     params.update(k=found.min_size, K=found.max_size)
     text = f"{len(found.islands)} islands\n{table}" if rows else "no islands"
-    return _finish(args, raw, params, files, text)
+    return params, files, text, _zeros(result, *(
+        (isl.internal_min, isl.external_max) for isl in found.islands))
 
 
-def _cmd_hits(args) -> int:
-    raw, net = _load(args.input)
+def _cmd_hits(args, net):
+    if args.top < 0:
+        raise _Fail(EXIT_USAGE, f"--top must be at least 0, got {args.top}")
     try:
         scores = hits(net)
     except ValueError as exc:
         raise _Fail(EXIT_USAGE, str(exc)) from exc
-    count = max(0, min(args.top, net.n))
+    count = min(args.top, net.n)
     hub_top = scores.top(count, "hub")
     auth_top = scores.top(count, "authority")
     rows = []
@@ -455,7 +434,7 @@ def _cmd_hits(args) -> int:
             f"NOT converged after {scores.iterations} iterations "
             f"(residual {scores.residual:.3e})")
     files = {"hits.csv": "\n".join(csv_lines) + "\n"}
-    return _finish(args, raw, {"top": args.top}, files, f"{table}\n{note}")
+    return {"top": args.top}, files, f"{table}\n{note}"
 
 
 def _csv_field(text: str) -> str:
@@ -471,10 +450,14 @@ def main(argv=None) -> int:
         "mainpath": _cmd_mainpath, "cpm": _cmd_cpm, "cut": _cmd_cut,
         "islands": _cmd_islands, "hits": _cmd_hits}[args.command]
     try:
-        return handler(args)
+        digest, net = _load(args.input)
+        return _finish(args, digest, *handler(args, net))
     except _Fail as fail:
         print(f"citeflow: error: {fail}", file=sys.stderr)
         return fail.code
+    except WeightOverflowError as exc:  # float counts or cpm path totals
+        print(f"citeflow: error: {exc}", file=sys.stderr)
+        return EXIT_OVERFLOW
     except OverflowError:  # float() of an exact Fraction, before any write
         print("citeflow: error: an exact fraction beyond the double range "
               "has no float rendering; rerun with --mode log", file=sys.stderr)

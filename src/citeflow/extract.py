@@ -18,6 +18,7 @@ import numpy as np
 from .acyclic import StandardizedNetwork, _sweep
 from .network import ArcWeights, Network, _forest, _unique
 from .pajek import write_pajek
+from .weights import WeightOverflowError
 
 _TIE = 1e-12
 _CHUNK = 1 << 16  # arcs per pass over path totals: bounds exact-mode memory
@@ -135,7 +136,9 @@ def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
     backwards) and closed with one reduction over the arcs into t (out of
     s); every optimal path is reported when totals tie (`_tied`).  A path's
     total is the sum of its linear weights in every mode: log weights add
-    with logaddexp, from ln 0 = -inf.
+    with logaddexp, from ln 0 = -inf.  Float totals beyond the double range
+    would all tie at inf, so float mode then raises WeightOverflowError, as
+    float counts do.
     """
     vals, mode = _aligned(std, w)
     times = np.logaddexp if mode == "log" else np.add
@@ -147,12 +150,18 @@ def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
             (into_t, out_s, std.t, std.s, True)):
         c = np.full(std.base.n + 1, -np.inf, dtype=vals.dtype)
         c[start] = -np.inf if mode == "log" else 0
-        c[seeds] = times(c[start], w_in)
-        _sweep(c, net, backward, np.maximum, times, vals)
-        c[end] = np.maximum.reduce(times(c[links], w_out), initial=-np.inf)
+        with np.errstate(over="ignore"):
+            c[seeds] = times(c[start], w_in)
+            _sweep(c, net, backward, np.maximum, times, vals)
+            c[end] = np.maximum.reduce(times(c[links], w_out),
+                                       initial=-np.inf)
         dist.append(c)
     fdist, gdist = dist
     optimum = fdist[std.t]
+    if mode == "float" and optimum == np.inf:  # every inf total would tie
+        raise WeightOverflowError(
+            "path totals exceed the double range; rerun in mode='exact' "
+            "or mode='log'")
     chosen = []
     for arcs in np.split(np.arange(m), range(_CHUNK, m, _CHUNK)):
         total = times(times(fdist[net.tails[arcs]], vals[arcs]),

@@ -140,11 +140,6 @@ class Network:
     def arc(self, i: int) -> tuple[int, int, float]:
         return (int(self.tails[i]), int(self.heads[i]), float(self.weights[i]))
 
-    @property
-    def arcs(self) -> list[tuple[int, int, float]]:
-        """Arc list as (tail, head, weight) tuples; O(m), meant for small nets."""
-        return [self.arc(i) for i in range(self.m)]
-
     # --- adjacency ---
     # Arc indices within each list are ordered by (tail, head, input position),
     # so iteration order is deterministic for equal inputs.

@@ -9,6 +9,28 @@ def arcs_of(net):
     return list(zip(net.tails.tolist(), net.heads.tolist()))
 
 
+def diamond_chain(k):
+    """k diamonds in a row: 2**k source-sink paths."""
+    arcs = []
+    a = 1
+    for _ in range(k):
+        arcs += [(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
+        a += 3
+    return Network(a, arcs)
+
+
+def cpm_overflow_net():
+    """(network, e): 1021 diamonds in a row, whose SPC counts fit a double,
+    ending at a; then a -> b -> d -> c, a -> b -> c and a -> e -> c.  Float
+    path totals pass the double range there, and tying them all at inf would
+    put e on the critical path."""
+    chain = diamond_chain(1021)
+    a = chain.n
+    b, c, d, e = a + 1, a + 2, a + 3, a + 4
+    return Network(e, arcs_of(chain) + [(a, b), (b, c), (b, d), (d, c),
+                                        (a, e), (e, c)]), e
+
+
 def rand_instance(seed, n=8, density=0.3):
     net = random_dag(n, density, seed)
     return net, arcs_of(net)

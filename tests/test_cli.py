@@ -13,7 +13,7 @@ from citeflow import (Network, aged_path_counts, complete_acyclic, parse_pajek,
                       random_dag, spc, standardize, write_pajek)
 from citeflow.cli import main
 
-from conftest import arcs_of
+from conftest import arcs_of, cpm_overflow_net, diamond_chain
 
 DIAMOND = ('*Vertices 4\n1 "a"\n2 "b"\n3 "c"\n4 "d"\n'
            "*Arcs\n1 2\n1 3\n2 4\n3 4\n")
@@ -116,25 +116,21 @@ def test_usage_errors(tmp_path, diamond_file, capsys):
         assert run(["weights", diamond_file, "--method", "spnp",
                     "--alpha", alpha, "--out", o]) == 2
         assert "alpha must lie in (0, 1]" in capsys.readouterr().err
+    for args in (["cut", "--threshold", "nan"], ["hits", "--top", "-3"]):
+        assert run([args[0], diamond_file, *args[1:], "--out", o]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("citeflow: error: ")
+        assert args[1] in err[0]
+    assert not o.exists()
     with pytest.raises(SystemExit) as err:
         run(["frobnicate", diamond_file])
     assert err.value.code == 2
     capsys.readouterr()
 
 
-def _diamond_chain(k):
-    """k diamonds in a row: 2**k source-sink paths."""
-    arcs = []
-    a = 1
-    for _ in range(k):
-        arcs += [(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
-        a += 3
-    return Network(a, arcs)
-
-
 def test_overflow_exit_code(tmp_path, capsys):
     path = tmp_path / "deep.net"
-    path.write_text(write_pajek(_diamond_chain(1030)))
+    path.write_text(write_pajek(diamond_chain(1030)))
     assert run(["weights", path, "--mode", "float",
                 "--out", tmp_path / "o"]) == 5
     assert "rerun in mode=" in capsys.readouterr().err
@@ -146,7 +142,7 @@ def test_overflow_exit_code(tmp_path, capsys):
 
 def test_float_overflow_without_mode_reruns_in_log(tmp_path, capsys):
     path = tmp_path / "deep.net"
-    path.write_text(write_pajek(_diamond_chain(1030)))
+    path.write_text(write_pajek(diamond_chain(1030)))
     out = tmp_path / "o"
     assert run(["weights", path, "--out", out]) == 0
     captured = capsys.readouterr()
@@ -401,7 +397,7 @@ def test_alpha_follows_mode(tmp_path, capsys):
 
 def test_aged_overflow_exit_code(tmp_path, capsys):
     path = tmp_path / "deep.net"
-    path.write_text(write_pajek(_diamond_chain(1030)))
+    path.write_text(write_pajek(diamond_chain(1030)))
     assert run(["weights", path, "--method", "spnp", "--alpha", "1",
                 "--mode", "float", "--out", tmp_path / "o"]) == 5
     assert "rerun in mode=" in capsys.readouterr().err
@@ -410,7 +406,7 @@ def test_aged_overflow_exit_code(tmp_path, capsys):
 def test_exact_median_keeps_every_digit(tmp_path, capsys):
     # 4120 arcs, each on half of the 2**1030 paths
     path = tmp_path / "deep.net"
-    path.write_text(write_pajek(_diamond_chain(1030)))
+    path.write_text(write_pajek(diamond_chain(1030)))
     assert run(["weights", path, "--mode", "exact",
                 "--out", tmp_path / "o"]) == 0
     half = str(2 ** 1029)
@@ -419,7 +415,7 @@ def test_exact_median_keeps_every_digit(tmp_path, capsys):
 
 def test_exact_log_beyond_the_double_range(tmp_path, capsys):
     path = tmp_path / "deep.net"
-    path.write_text(write_pajek(_diamond_chain(1030)))
+    path.write_text(write_pajek(diamond_chain(1030)))
     assert run(["weights", path, "--mode", "exact", "--log",
                 "--out", tmp_path / "o"]) == 0
     capsys.readouterr()
@@ -430,7 +426,7 @@ def test_exact_log_beyond_the_double_range(tmp_path, capsys):
 def test_exact_shares_below_the_double_range_are_counted(tmp_path, capsys):
     # a lone arc beside 2**1080 paths: its share and its two vertices'
     # lie below the smallest double and are written as 0
-    chain = _diamond_chain(1080)
+    chain = diamond_chain(1080)
     net = Network(chain.n + 2, arcs_of(chain) + [(chain.n + 1, chain.n + 2)])
     path = tmp_path / "deep.net"
     path.write_text(write_pajek(net))
@@ -448,6 +444,39 @@ def test_exact_shares_below_the_double_range_are_counted(tmp_path, capsys):
         assert run([args[0], path, "--mode", "exact", "--normalize", "--log",
                     *args[1:], "--out", logs]) == 0
         assert capsys.readouterr().err == ""
+
+
+def test_exact_zeros_printed_on_stdout_are_counted(tmp_path, capsys):
+    # the lone arc's share prints as 0: in weights' minimum, which spc.net
+    # also holds, and as island 2's minimum, which islands writes nowhere
+    chain = diamond_chain(1080)
+    net = Network(chain.n + 2, arcs_of(chain) + [(chain.n + 1, chain.n + 2)])
+    path = tmp_path / "deep.net"
+    path.write_text(write_pajek(net))
+    for command, shown, count in [("weights", "arc weights  min 0  ", 3),
+                                  ("islands", "2       2     0 ", 1)]:
+        assert run([command, path, "--mode", "exact", "--normalize",
+                    "--out", tmp_path / command]) == 0
+        captured = capsys.readouterr()
+        assert shown in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"citeflow: {count} ")
+        assert "printed as 0" in err[0]
+
+
+def test_cpm_path_totals_beyond_the_double_range_exit_code(tmp_path, capsys):
+    net, _ = cpm_overflow_net()
+    path = tmp_path / "deep.net"
+    path.write_text(write_pajek(net))
+    out = tmp_path / "o"
+    for mode in ([], ["--mode", "float"]):
+        assert run(["cpm", path, *mode, "--out", out]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("citeflow: error: path "
+                                                   "totals exceed")
+        assert not out.exists()
+    assert run(["cpm", path, "--mode", "log", "--out", out]) == 0
+    assert "3067 vertices, 4087 arcs" in capsys.readouterr().out
 
 
 def test_unusable_out_is_a_usage_error(tmp_path, diamond_file, capsys):
@@ -524,7 +553,7 @@ def test_cut_threshold_is_linear_in_every_mode(tmp_path, capsys, threshold):
 def test_cut_never_keeps_floored_zeros(tmp_path, capsys):
     # beside 2**1080 chain paths the lone arc's share is below the double
     # range, so --log floors it one unit under the smallest positive log
-    chain = _diamond_chain(1080)
+    chain = diamond_chain(1080)
     lone = Network(chain.n + 2, arcs_of(chain) + [(chain.n + 1, chain.n + 2)])
     path = tmp_path / "n.net"
     path.write_text(write_pajek(lone))

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 import citeflow.extract as extract_mod
-from citeflow import (MODES, ArcWeights, Network, arc_cut, cpm_path, islands,
-                      main_path, normalize, nppc, parse_pajek, random_dag,
-                      spc, splc, spnp, standardize, write_subnetwork)
+from citeflow import (MODES, ArcWeights, Network, WeightOverflowError,
+                      arc_cut, cpm_path, islands, main_path, normalize, nppc,
+                      parse_pajek, random_dag, spc, splc, spnp, standardize,
+                      write_subnetwork)
 from citeflow.extract import _tied
 
 import oracles
-from conftest import arcs_of, rand_instance, random_multigraph
+from conftest import (arcs_of, cpm_overflow_net, rand_instance,
+                      random_multigraph)
 
 
 def spc_setup(net):
@@ -189,6 +191,17 @@ def test_cpm_unique_path(branch):
         [(1, 2), (2, 3), (3, 4)]
     assert sorted(sub.vertices) == [1, 2, 3, 4]
     assert sub.kind == "cpm_path"
+
+
+def test_float_cpm_raises_when_path_totals_overflow():
+    net, e = cpm_overflow_net()
+    std = standardize(net)
+    with pytest.raises(WeightOverflowError, match="path totals"):
+        cpm_path(std, spc(std, "float").arc)
+    log, exact = (cpm_path(std, spc(std, m).arc) for m in ("log", "exact"))
+    assert (log.arcs, log.vertices) == (exact.arcs, exact.vertices)
+    assert (len(exact.arcs), len(exact.vertices)) == (4087, 3067)
+    assert e not in exact.vertices
 
 
 def test_cpm_keeps_all_optimal_paths(diamond):
