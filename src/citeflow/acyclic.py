@@ -19,7 +19,8 @@ from .network import Network, _merged
 
 class CycleError(Exception):
     """Raised when an operation needs an acyclic network; carries a witness
-    vertex that lies on some cycle."""
+    vertex that lies on some cycle: the smallest vertex of a cyclic strong
+    component."""
 
     def __init__(self, vertex: int):
         super().__init__(f"network is not acyclic: vertex {vertex} lies on a cycle")
@@ -138,11 +139,7 @@ def preprint_transform(net: Network, part: Partition | None = None) -> Network:
     Arcs between components are untouched.  The result is acyclic.
     """
     n, tails, heads = net.n, net.tails, net.heads
-    cls = np.array((0,) + (part or strong_components(net)).class_of,
-                   dtype=np.int64)
-    bad = np.bincount(cls) >= 2  # a cyclic class has two members or a loop
-    bad[cls[tails[tails == heads]]] = True
-    cyclic = bad[cls]
+    cls, cyclic = _cyclic(net, part)
     members = np.flatnonzero(cyclic)
     twin = np.zeros(n + 1, dtype=np.int64)
     twin[members] = np.arange(n + 1, n + 1 + len(members))
@@ -154,6 +151,17 @@ def preprint_transform(net: Network, part: Partition | None = None) -> Network:
                                 twin[members]],
         np.r_[heads, members],
         np.r_[net.weights, np.ones(len(members))], labels)
+
+
+def _cyclic(net: Network, part: Partition | None = None):
+    """(class of each vertex, mask of the vertices in a cyclic class: two or
+    more members, or a loop), both indexed 0..n; `part` defaults to the
+    strong components."""
+    cls = np.array((0,) + (part or strong_components(net)).class_of,
+                   dtype=np.int64)
+    bad = np.bincount(cls) >= 2
+    bad[cls[net.tails[net.tails == net.heads]]] = True
+    return cls, bad[cls]
 
 
 # --- topological order ---
@@ -191,10 +199,11 @@ def _levels(net: Network):
 
 
 def _dag_levels(net: Network):
-    """(level, order) of `_levels`; raises CycleError on a cycle."""
+    """(level, order) of `_levels`; on a cycle, raises CycleError naming the
+    smallest vertex of a cyclic strong component."""
     level, order = _levels(net)
     if len(order) < net.n:
-        raise CycleError(_cycle_witness(net, level < 0))
+        raise CycleError(int(np.flatnonzero(_cyclic(net)[1])[0]))
     return level, order
 
 
@@ -220,23 +229,6 @@ def _level_sweep(net: Network):
     order = (np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
     level.flags.writeable = order.flags.writeable = False
     return level, order
-
-
-def _cycle_witness(net, stuck: np.ndarray) -> int:
-    """A vertex on a cycle, given the mask `stuck` (indexed 0..n; index 0,
-    no vertex, is skipped) of the vertices Kahn's algorithm left over.
-
-    From the smallest stuck vertex, walk to the first predecessor that is
-    stuck, until a vertex repeats: every stuck vertex has such a
-    predecessor, and the walk is finite.
-    """
-    v = int(np.flatnonzero(stuck[1:])[0]) + 1
-    seen: set[int] = set()
-    while v not in seen:
-        seen.add(v)
-        near = net.predecessors(v)
-        v = int(near[stuck[near]][0])
-    return v
 
 
 def _stage_groups(net: Network, by_tail: bool):

@@ -286,13 +286,13 @@ def _weighted(args, net: Network):
 def _subnetwork(params, name, sub, result, text):
     """The return of a command that writes `sub` with its weights."""
     return (params, {name: write_subnetwork(sub, result.arc)}, text,
-            _zeros(result, map(result.arc.__getitem__, sub.arcs)))
+            _zeros(result, result.arc.values[list(sub.arcs)]))
 
 
 def _cmd_weights(args, net):
     net, std, result, params, repaired = _weighted(args, net)
     mode = params["mode"]
-    arc_vals = result.arc.tolist()[:net.m]  # the input's arcs come first
+    arc_vals = result.arc.values[:net.m]  # the input's arcs come first
     files = {f"{args.method}.net": write_pajek(net, arc_vals)}
     if result.vertex is not None:
         files[f"{args.method}.vec"] = write_vector(result.vertex[:net.n])
@@ -313,8 +313,7 @@ def _cmd_weights(args, net):
             spread = (ordered[0], Fraction(ordered[k] + ordered[~k]) / 2,
                       ordered[-1])
         else:
-            vals = result.arc.values[:net.m]
-            spread = vals.min(), np.median(vals), vals.max()
+            spread = arc_vals.min(), np.median(arc_vals), arc_vals.max()
         summary.append("arc weights  min %s  median %s  max %s"
                        % tuple(map(format_number, spread)))
     if args.log:
@@ -330,7 +329,8 @@ def _cmd_weights(args, net):
         lines += [record({"record": "arc", "index": i, "tail": t,
                           "head": h, "weight": value})
                   for i, (t, h, value) in enumerate(zip(
-                      net.tails.tolist(), net.heads.tolist(), arc_vals))]
+                      net.tails.tolist(), net.heads.tolist(),
+                      arc_vals.tolist()))]
         if result.vertex is not None:
             lines += [record({"record": "vertex", "id": v, "weight": value})
                       for v, value in enumerate(

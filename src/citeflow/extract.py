@@ -68,8 +68,9 @@ def write_subnetwork(sub: Subnetwork, weights: ArcWeights | None = None) -> str:
     and possibly longer) overrides the written arc weight column, each value
     written as given: exact integers keep every digit."""
     if weights is not None:
-        vals = weights.tolist() if hasattr(weights, "tolist") else weights
-        weights = [vals[i] for i in sub.arcs]
+        vals = (weights if isinstance(weights, np.ndarray)
+                else _values(weights)[0])  # a list stays Python numbers
+        weights = vals[list(sub.arcs)]
     return write_pajek(sub.to_network(), weights)
 
 

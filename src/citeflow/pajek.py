@@ -180,15 +180,17 @@ def format_number(value) -> str:
 
 
 def _numbers(values) -> list[str]:
-    """format_number over a column (sequence, array or ArcWeights), with
-    its float rule inlined, or cast whole for integral float64 arrays."""
+    """format_number over a column (sequence, array or ArcWeights).  A
+    float64 array takes one mask of its integral values: those are cast to
+    int64, so str renders every value, an int's digits or a float's repr."""
     values = values.values if isinstance(values, ArcWeights) else values
-    if getattr(values, "dtype", None) == np.float64 and np.all(
-            (np.abs(values) < 1e16) & (np.trunc(values) == values)):
-        return list(map(str, values.astype(np.int64).tolist()))
-    values = values.tolist() if hasattr(values, "tolist") else values
-    return [(str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v))
-            if type(v) is float else format_number(v) for v in values]
+    if getattr(values, "dtype", None) != np.float64:
+        return list(map(format_number, values.tolist()
+                        if hasattr(values, "tolist") else values))
+    whole = (np.abs(values) < 1e16) & (np.trunc(values) == values)
+    out = np.where(whole, values, 0).astype(np.int64).astype(object)
+    out[~whole] = values[~whole]  # as Python floats
+    return list(map(str, out))
 
 
 def write_pajek(net: Network, weights: ArcWeights | None = None) -> str:
@@ -221,5 +223,4 @@ def write_vector(values) -> str:
 
 def write_partition(classes) -> str:
     """Render per-vertex integer class ids as .clu text."""
-    out = [str(int(c)) for c in classes]
-    return "\n".join([f"*Vertices {len(out)}", *out]) + "\n"
+    return write_vector(np.asarray(classes, dtype=np.int64))

@@ -255,15 +255,16 @@ def log_transform(result: WeightResult) -> WeightResult:
     """
     if result.arc.mode == "log":
         return result
-    vals = result.arc.tolist()
-    if any(v < 0 for v in vals):
+    vals = result.arc.values
+    if np.any(vals < 0):
         raise ValueError("negative weights have no logarithm")
-    pos = [v for v in vals if v > 0]
-    floor = _ln(min(pos)) - 1.0 if pos else -1.0
-    floored = tuple(i for i, v in enumerate(vals) if v == 0)
+    pos = vals[vals > 0]
+    floor = _ln(pos.min()) - 1.0 if len(pos) else -1.0
+    floored = tuple(np.flatnonzero(vals == 0).tolist())
 
     def logs(values):
-        return np.array([_ln(v) if v > 0 else floor for v in values])
+        return np.fromiter((_ln(v) if v > 0 else floor for v in values),
+                           np.float64, len(values))
 
     vertex = None if result.vertex is None else logs(result.vertex)
     return replace(result, arc=ArcWeights(logs(vals), "log"), vertex=vertex,

@@ -144,13 +144,13 @@ def test_cycle_witness_skips_an_acyclic_prefix():
 
 def test_acyclicity_test_builds_no_witness(monkeypatch):
     calls = []
-    witness = acyclic_mod._cycle_witness
+    witness = acyclic_mod.strong_components
 
     def counted(*args):
         calls.append(args)
         return witness(*args)
 
-    monkeypatch.setattr(acyclic_mod, "_cycle_witness", counted)
+    monkeypatch.setattr(acyclic_mod, "strong_components", counted)
     net = planted_cycles(3)
     assert not is_acyclic(net)
     assert not is_acyclic(net.reverse())

@@ -8,9 +8,9 @@ import pytest
 
 import citeflow.extract as extract_mod
 from citeflow import (MODES, ArcWeights, Network, WeightOverflowError,
-                      arc_cut, cpm_path, islands, main_path, normalize, nppc,
-                      parse_pajek, random_dag, spc, splc, spnp, standardize,
-                      write_subnetwork)
+                      arc_cut, cpm_path, format_number, islands, main_path,
+                      normalize, nppc, parse_pajek, random_dag, spc, splc,
+                      spnp, standardize, write_subnetwork)
 from citeflow.extract import _tied
 
 import oracles
@@ -366,6 +366,20 @@ def test_write_subnetwork_round_trips(branch):
     back = parse_pajek(text)
     assert back.n == len(sub.vertices)
     assert back.m == len(sub.arcs)
+
+
+def test_write_subnetwork_writes_the_picked_values_as_given(branch):
+    std, res = spc_setup(branch)
+    sub = main_path(std, res.arc)
+    assert sub.arcs == (0, 2, 3, 4)
+    plain = [2**64 + 3, 0.1, Fraction(1, 3), 7, 1e300, -0.0, 4, 2.5]
+    assert len(plain) == std.base.m  # as long as the standardized arc list
+    mixed = [2**62 + 1, 0.5] * 4  # np.asarray would round it to float64
+    for weights in (res.arc, np.arange(len(plain)) / 2, plain, mixed):
+        text = write_subnetwork(sub, weights)
+        got = [line.split()[2]
+               for line in text.split("*Arcs\n")[1].splitlines()]
+        assert got == [format_number(weights[i]) for i in sub.arcs]
 
 
 # --- islands ---

@@ -159,7 +159,8 @@ def test_write_vector():
 
 
 def test_write_partition():
-    assert write_partition([1, 1, 2]) == "*Vertices 3\n1\n1\n2\n"
+    for classes in ((1, 1, 2), [1, 1, 2], np.array([1, 1, 2], np.int64)):
+        assert write_partition(classes) == "*Vertices 3\n1\n1\n2\n"
 
 
 @pytest.mark.parametrize("value, text", [

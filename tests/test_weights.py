@@ -535,13 +535,13 @@ def test_log_transform_basics(diamond):
 def test_log_transform_flags_zero_arcs():
     # vertex 3 is unreachable from the flow's path structure? build directly:
     from citeflow import ArcWeights, WeightResult
-    res = WeightResult("SPC", ArcWeights([4.0, 0.0, 2.0], "float"),
-                       None, 4.0)
-    out = log_transform(res)
-    assert out.floored == (1,)
-    floor = math.log(2.0) - 1.0
-    assert close(out.arc[1], floor)
-    assert out.arc[1] < min(out.arc[0], out.arc[2])
+    for mode in ("float", "exact"):
+        res = WeightResult("SPC", ArcWeights([4, 0, 2], mode), None, 4)
+        out = log_transform(res)
+        assert out.floored == (1,)
+        floor = math.log(2.0) - 1.0
+        assert close(out.arc[1], floor)
+        assert out.arc[1] < min(out.arc[0], out.arc[2])
 
 
 def test_log_transform_rejects_negative():
