@@ -36,10 +36,6 @@ class Partition:
     class_of: tuple[int, ...]  # index v-1 -> class id
     class_count: int
 
-    def members(self, cls: int) -> list[int]:
-        return [v for v in range(1, len(self.class_of) + 1)
-                if self.class_of[v - 1] == cls]
-
     def sizes(self) -> list[int]:
         counts = np.bincount(self.class_of, minlength=self.class_count + 1)
         return counts[1:].tolist()
@@ -319,20 +315,6 @@ class StandardizedNetwork:
     feedback_arc: int
     sources: np.ndarray = field(compare=False)  # follow from `net`
     sinks: np.ndarray = field(compare=False)
-
-    @property
-    def original_n(self) -> int:
-        return self.net.n
-
-    @property
-    def original_m(self) -> int:
-        return self.net.m
-
-    def without_feedback(self) -> Network:
-        """The acyclic extension: every arc except (t, s)."""
-        return Network.from_arrays(self.base.n, self.base.tails[:-1],
-                                   self.base.heads[:-1],
-                                   self.base.weights[:-1], self.base.labels)
 
 
 def standardize(net: Network) -> StandardizedNetwork:

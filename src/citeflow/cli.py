@@ -9,14 +9,15 @@ checksum, the resolved parameters, library versions and a checksum per
 emitted file, so a run can be audited and repeated; outputs are
 byte-identical across repeats (the manifest timestamp aside).
 
-Exit codes: 0 success, 2 bad arguments (a NaN --threshold or a negative
---top among them) or an --out that cannot be written to, 3 unreadable or
-malformed input, 4 cyclic input where an acyclic one is required, 5 numeric
-overflow (float counts under --mode float, float cpm path totals beyond the
-double range, or an exact fraction with no float rendering).  Exit 0 also
-when stdout's reader leaves early (`| head`): files are written first; and
-when positive exact values below the double range are written or printed
-as 0, which one stderr line counts.
+Exit codes: 0 success, 2 bad arguments or an --out that cannot be written
+to, 3 unreadable or malformed input, 4 cyclic input where an acyclic one is
+required, 5 numeric overflow (float counts under --mode float, float cpm
+path totals beyond the double range, or an exact fraction with no float
+rendering).  What the arguments alone rule out (`_usage_error`) exits 2
+before the input is read, so before 3 and 4.  Exit 0 also when stdout's
+reader leaves early (`| head`): files are written first; and when positive
+exact values below the double range are written or printed as 0, which one
+stderr line counts.
 """
 
 from __future__ import annotations
@@ -244,8 +245,6 @@ def _weighted(args, net: Network):
             raise _Fail(EXIT_CYCLIC, "input network is cyclic; rerun with "
                         "--repair shrink or --repair preprint")
         net, repaired = _repaired(net, args.repair), args.repair
-    if args.alpha is not None and args.method != "spnp":
-        raise _Fail(EXIT_USAGE, "--alpha applies to --method spnp only")
     std = result = None
     if args.method in ("nppc", "sum"):
         result = {"nppc": nppc, "sum": sum_weights}[args.method](net)
@@ -260,8 +259,6 @@ def _weighted(args, net: Network):
 
         try:
             result = counts(args.mode or "float")
-        except ValueError as exc:  # --alpha outside (0, 1]
-            raise _Fail(EXIT_USAGE, str(exc)) from exc
         except WeightOverflowError:
             if args.mode is not None:
                 raise
@@ -360,8 +357,6 @@ def _cmd_cpm(args, net):
 
 
 def _cmd_cut(args, net):
-    if math.isnan(args.threshold):
-        raise _Fail(EXIT_USAGE, "--threshold must be a number, got nan")
     net, std, result, params, _ = _weighted(args, net)
     vals, threshold = result.arc.values[:net.m], args.threshold
     if result.arc.mode == "log":  # logs: cut at ln T, where T is linear
@@ -385,8 +380,7 @@ def _cmd_islands(args, net):
     net, std, result, params, _ = _weighted(args, net)
     vals = ArcWeights(result.arc.values[:net.m], result.arc.mode)
     try:
-        found = islands(net, vals, min_size=args.k,
-                        max_size=args.K if args.K is not None else net.n)
+        found = islands(net, vals, min_size=args.k, max_size=args.K)
     except ValueError as exc:
         raise _Fail(EXIT_USAGE, str(exc)) from exc
 
@@ -408,8 +402,6 @@ def _cmd_islands(args, net):
 
 
 def _cmd_hits(args, net):
-    if args.top < 0:
-        raise _Fail(EXIT_USAGE, f"--top must be at least 0, got {args.top}")
     try:
         scores = hits(net)
     except ValueError as exc:
@@ -443,6 +435,25 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _usage_error(args) -> str | None:
+    """What is wrong with the arguments alone, if anything."""
+    alpha, method = getattr(args, "alpha", None), getattr(args, "method", "")
+    if alpha is not None and method != "spnp":
+        return "--alpha applies to --method spnp only"
+    if alpha is not None and not 0.0 < alpha <= 1.0:
+        return "alpha must lie in (0, 1]"
+    if getattr(args, "normalize", False) and method in ("nppc", "sum"):
+        return f"{method.upper()} weights carry no total flow"
+    if args.command == "islands" and (
+            args.k < 1 or args.K is not None and args.K < args.k):
+        return "need 1 <= min_size <= max_size"
+    if args.command == "cut" and math.isnan(args.threshold):
+        return "--threshold must be a number, got nan"
+    if args.command == "hits" and args.top < 0:
+        return f"--top must be at least 0, got {args.top}"
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {
@@ -450,6 +461,8 @@ def main(argv=None) -> int:
         "mainpath": _cmd_mainpath, "cpm": _cmd_cpm, "cut": _cmd_cut,
         "islands": _cmd_islands, "hits": _cmd_hits}[args.command]
     try:
+        if error := _usage_error(args):
+            raise _Fail(EXIT_USAGE, error)
         digest, net = _load(args.input)
         return _finish(args, digest, *handler(args, net))
     except _Fail as fail:

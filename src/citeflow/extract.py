@@ -85,8 +85,8 @@ def _aligned(std: StandardizedNetwork, w: ArcWeights):
     vals = w.values
     if len(w) == std.base.m:
         return vals, w.mode
-    if len(w) == std.original_m:
-        pad = np.zeros(std.base.m - std.original_m, dtype=vals.dtype)
+    if len(w) == std.net.m:
+        pad = np.zeros(std.base.m - std.net.m, dtype=vals.dtype)
         return np.concatenate([vals, pad]), w.mode
     raise ValueError("weight vector matches neither the standardized nor "
                      "the original arc count")

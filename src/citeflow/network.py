@@ -137,9 +137,6 @@ class Network:
     def label(self, v: int) -> str:
         return self.labels[v - 1]
 
-    def arc(self, i: int) -> tuple[int, int, float]:
-        return (int(self.tails[i]), int(self.heads[i]), float(self.weights[i]))
-
     # --- adjacency ---
     # Arc indices within each list are ordered by (tail, head, input position),
     # so iteration order is deterministic for equal inputs.
@@ -163,18 +160,6 @@ class Network:
     def in_arcs(self, v: int) -> np.ndarray:
         ptr, idx = self._adjacency(reverse=True)
         return idx[ptr[v]:ptr[v + 1]]
-
-    def successors(self, v: int) -> np.ndarray:
-        return self.heads[self.out_arcs(v)]
-
-    def predecessors(self, v: int) -> np.ndarray:
-        return self.tails[self.in_arcs(v)]
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_arcs(v))
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_arcs(v))
 
     # --- derived views ---
 

@@ -193,17 +193,15 @@ def nppc(net: Network) -> WeightResult:
                         None)
 
 
-def sum_weights(net: Network, normalized: bool = False) -> WeightResult:
+def sum_weights(net: Network) -> WeightResult:
     """Ancestor-count plus descendant-count per arc (a cheap additive variant).
 
-    Raw values are integers bounded by n; with `normalized` they are divided
-    by n so everything lands in (0, 1].  No vertex weights are defined.
+    Values are integers bounded by n.  They carry no total flow, so
+    `normalize` refuses them.  No vertex weights are defined.
     """
     anc, desc = _closures(net)
-    raw = anc[net.tails] + desc[net.heads]
-    arc = (ArcWeights(raw / net.n, "float") if normalized
-           else ArcWeights(raw, "exact"))
-    return WeightResult("SUM", arc, None, None, normalized=normalized)
+    arc = ArcWeights(anc[net.tails] + desc[net.heads], "exact")
+    return WeightResult("SUM", arc, None, None)
 
 
 # --- aged counts ---

@@ -413,7 +413,7 @@ def main_path_reference(std, w, single=False):
                     visited.add(head)
                     nxt.append(head)
         frontier = nxt
-    keep = tuple(sorted(ai for ai in chosen if ai < std.original_m))
+    keep = tuple(sorted(ai for ai in chosen if ai < std.net.m))
     verts = frozenset(visited - {std.s, std.t})
     return keep, verts
 

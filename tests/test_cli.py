@@ -1,3 +1,5 @@
+import gc
+import importlib
 import json
 import math
 import os
@@ -106,26 +108,49 @@ def test_missing_and_malformed_inputs(tmp_path, capsys):
 
 def test_usage_errors(tmp_path, diamond_file, capsys):
     o = tmp_path / "o"
-    assert run(["weights", diamond_file, "--method", "sum",
-                "--alpha", "0.5", "--out", o]) == 2
-    assert run(["weights", diamond_file, "--method", "nppc",
-                "--normalize", "--out", o]) == 2
-    assert run(["islands", diamond_file, "--k", "0", "--out", o]) == 2
-    capsys.readouterr()
-    for alpha in ("0", "1.5", "-1", "nan"):
-        assert run(["weights", diamond_file, "--method", "spnp",
-                    "--alpha", alpha, "--out", o]) == 2
-        assert "alpha must lie in (0, 1]" in capsys.readouterr().err
-    for args in (["cut", "--threshold", "nan"], ["hits", "--top", "-3"]):
-        assert run([args[0], diamond_file, *args[1:], "--out", o]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("citeflow: error: ")
-        assert args[1] in err[0]
+    cyclic = tmp_path / "cyclic.net"
+    cyclic.write_text(TWO_CYCLE)
+    # refused on the arguments alone, before a missing or cyclic input is read
+    for path in (diamond_file, tmp_path / "missing.net", cyclic):
+        for args in (["weights", "--method", "sum", "--alpha", "0.5"],
+                     ["weights", "--method", "spc", "--alpha", "0.5"],
+                     ["weights", "--method", "nppc", "--normalize"],
+                     ["weights", "--method", "sum", "--normalize"],
+                     ["islands", "--k", "0"],
+                     ["islands", "--k", "3", "--K", "2"]):
+            assert run([args[0], path, *args[1:], "--out", o]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("citeflow: error: ")
+        for alpha in ("0", "1.5", "-1", "nan"):
+            assert run(["weights", path, "--method", "spnp",
+                        "--alpha", alpha, "--out", o]) == 2
+            assert "alpha must lie in (0, 1]" in capsys.readouterr().err
+        for args in (["cut", "--threshold", "nan"], ["hits", "--top", "-3"]):
+            assert run([args[0], path, *args[1:], "--out", o]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("citeflow: error: ")
+            assert args[1] in err[0]
     assert not o.exists()
     with pytest.raises(SystemExit) as err:
         run(["frobnicate", diamond_file])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def test_console_entry_freezes_then_runs_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(citeflow.cli, "main",
+                        lambda: calls.append("main") or 7)
+    monkeypatch.delitem(sys.modules, "citeflow.__main__", raising=False)
+    entry = importlib.import_module("citeflow.__main__")
+    assert calls == []  # importing the module runs nothing
+    assert entry.frozen_main() == 7
+    assert calls == ["freeze", "main"]
+    # the installed command starts there too (3.10 has no tomllib)
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    assert ('citeflow = "citeflow.__main__:frozen_main"'
+            in pyproject.read_text().splitlines())
 
 
 def test_overflow_exit_code(tmp_path, capsys):
@@ -388,7 +413,7 @@ def test_alpha_follows_mode(tmp_path, capsys):
         runs[mode] = _jsonl_weights(out / "spnp.jsonl")
     std = standardize(parse_pajek(path.read_text()))
     lib = aged_path_counts(std, 0.5, "exact")
-    want = list(lib.arc)[:std.original_m] + list(lib.vertex)[:std.original_n]
+    want = list(lib.arc)[:std.net.m] + list(lib.vertex)[:std.net.n]
     assert [Fraction(str(v)) for v in runs["exact"]] == want
     assert any(isinstance(v, str) and "/" in v for v in runs["exact"])
     for g, f in zip(runs["log"], runs["float"]):

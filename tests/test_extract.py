@@ -93,8 +93,8 @@ def test_main_path_rejects_misaligned_weights(diamond):
 
 def _tie_weights(rng, std, mode, kind):
     """Main-path weights of one `kind` in `mode` for std's network."""
-    net = Network.from_arrays(std.original_n, std.base.tails[:std.original_m],
-                              std.base.heads[:std.original_m])
+    net = Network.from_arrays(std.net.n, std.base.tails[:std.net.m],
+                              std.base.heads[:std.net.m])
     if kind == "spc":
         return spc(std, mode).arc
     if kind == "closure":  # on the original arcs: every s-arc ties at 0

@@ -28,7 +28,7 @@ def test_default_labels():
 def test_arc_order_is_input_order():
     net = Network(3, [(2, 3), (1, 2), (1, 3)])
     assert arcs_of(net) == [(2, 3), (1, 2), (1, 3)]
-    assert net.arc(0) == (2, 3, 1.0)
+    assert (net.tails[0], net.heads[0], net.weights[0]) == (2, 3, 1.0)
 
 
 def test_explicit_weights():
@@ -56,10 +56,10 @@ def test_adjacency_against_brute_force():
     for v in range(1, net.n + 1):
         succ = sorted(h for t, h in arcs if t == v)
         pred = sorted(t for t, h in arcs if h == v)
-        assert net.successors(v).tolist() == succ
-        assert net.predecessors(v).tolist() == pred
-        assert net.out_degree(v) == len(succ)
-        assert net.in_degree(v) == len(pred)
+        assert net.heads[net.out_arcs(v)].tolist() == succ
+        assert net.tails[net.in_arcs(v)].tolist() == pred
+        assert len(net.out_arcs(v)) == len(succ)
+        assert len(net.in_arcs(v)) == len(pred)
         # arc indices point back at the right rows
         for ai in net.out_arcs(v).tolist():
             assert int(net.tails[ai]) == v
@@ -175,7 +175,7 @@ def test_reverse_round_trip():
     assert arcs_of(rev) == [(h, t) for t, h in arcs_of(net)]
     assert rev.reverse() == net
     for v in range(1, net.n + 1):
-        assert rev.in_degree(v) == net.out_degree(v)
+        assert len(rev.in_arcs(v)) == len(net.out_arcs(v))
 
 
 def test_complete_acyclic_shape():

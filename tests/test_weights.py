@@ -60,9 +60,6 @@ def test_sum_diamond(diamond):
     res = sum_weights(diamond)
     assert list(res.arc) == [3, 3, 3, 3]
     assert res.vertex is None
-    norm = sum_weights(diamond, normalized=True)
-    assert list(norm.arc) == [0.75, 0.75, 0.75, 0.75]
-    assert norm.normalized
 
 
 def test_branch_spc(branch):
@@ -202,7 +199,6 @@ def test_closure_methods_without_arcs(net):
     res = nppc(net)
     assert list(res.arc) == [] and res.vertex == (1,) * net.n
     assert list(sum_weights(net).arc) == []
-    assert list(sum_weights(net, normalized=True).arc) == []
 
 
 def test_nppc_rejects_cycles():
