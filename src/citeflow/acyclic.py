@@ -11,6 +11,7 @@ and the closing feedback arc (t, s) that the weight routines expect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,12 @@ class Partition:
 def strong_components(net: Network) -> Partition:
     """Tarjan's algorithm, iterative over the out-CSR: each vertex keeps a
     cursor into its run of successors.  Classes are numbered 1..k in order
-    of their smallest member, so the labelling is deterministic."""
+    of their smallest member, so the labelling is deterministic.  Built once
+    per network and kept on it (`Network._memo`), where the repairs read it."""
+    return net._memo(_tarjan)
+
+
+def _tarjan(net: Network) -> Partition:
     n = net.n
     ptr, idx = net._adjacency()
     succ, bound = memoryview(net.heads[idx]), memoryview(ptr)
@@ -101,21 +107,21 @@ def strong_components(net: Network) -> Partition:
 # --- repairs ---
 
 def remove_loops(net: Network) -> Network:
-    """Drop every arc (v, v); everything else is untouched."""
+    """Drop every arc (v, v); a network without one comes back as it is."""
     keep = net.tails != net.heads
-    return Network.from_arrays(net.n, net.tails[keep], net.heads[keep],
-                               net.weights[keep], net.labels)
+    return net if keep.all() else Network.from_arrays(
+        net.n, net.tails[keep], net.heads[keep], net.weights[keep], net.labels)
 
 
-def shrink_components(net: Network, part: Partition | None = None) -> Network:
+def shrink_components(net: Network) -> Network:
     """Collapse each strongly connected class to a single vertex.
 
     Arc (u, v) maps to (class(u), class(v)); intra-class arcs (including
     loops) disappear, parallel images are merged with summed weights.  The
-    shrunk vertex takes the label of the class's smallest member.
+    shrunk vertex takes the label of the class's smallest member.  The
+    classes are those of `strong_components`, built once per network.
     """
-    if part is None:
-        part = strong_components(net)
+    part = net._memo(_tarjan)
     cls = np.array((0,) + part.class_of, dtype=np.int64)
     smallest = np.unique(cls[1:], return_index=True)[1]
     labels = [net.labels[i] for i in smallest.tolist()]
@@ -125,21 +131,22 @@ def shrink_components(net: Network, part: Partition | None = None) -> Network:
                    net.weights[keep], labels)
 
 
-def preprint_transform(net: Network, part: Partition | None = None) -> Network:
+def preprint_transform(net: Network) -> Network:
     """Break cycles by giving every vertex of a cyclic component a preprint.
 
-    Each member u of a cyclic strongly connected component gets a twin u'
-    (appended after the original ids, in ascending order of u) with an arc
-    (u', u): the published version cites its own preprint.  Every arc (u, v)
-    inside such a component is redirected to start at the preprint, (u', v).
-    Arcs between components are untouched.  The result is acyclic.
+    Each member u of a cyclic strongly connected component (two or more
+    members, or a loop) gets a twin u' (appended after the original ids, in
+    ascending order of u) with an arc (u', u): the published version cites
+    its own preprint.  Every arc (u, v) inside such a component is
+    redirected to start at the preprint, (u', v).  Arcs between components
+    are untouched.  The result is acyclic.
     """
     n, tails, heads = net.n, net.tails, net.heads
-    cls, cyclic = _cyclic(net, part)
-    members = np.flatnonzero(cyclic)
+    cls = np.array((0,) + net._memo(_tarjan).class_of, dtype=np.int64)
+    inner = cls[tails] == cls[heads]  # the tails: every vertex on a cycle
+    members = np.unique(tails[inner])
     twin = np.zeros(n + 1, dtype=np.int64)
     twin[members] = np.arange(n + 1, n + 1 + len(members))
-    inner = cyclic[tails] & (cls[tails] == cls[heads])
     labels = list(net.labels) + [net.labels[v - 1] + "'"
                                  for v in members.tolist()]
     return Network.from_arrays(
@@ -147,17 +154,6 @@ def preprint_transform(net: Network, part: Partition | None = None) -> Network:
                                 twin[members]],
         np.r_[heads, members],
         np.r_[net.weights, np.ones(len(members))], labels)
-
-
-def _cyclic(net: Network, part: Partition | None = None):
-    """(class of each vertex, mask of the vertices in a cyclic class: two or
-    more members, or a loop), both indexed 0..n; `part` defaults to the
-    strong components."""
-    cls = np.array((0,) + (part or strong_components(net)).class_of,
-                   dtype=np.int64)
-    bad = np.bincount(cls) >= 2
-    bad[cls[net.tails[net.tails == net.heads]]] = True
-    return cls, bad[cls]
 
 
 # --- topological order ---
@@ -198,8 +194,9 @@ def _dag_levels(net: Network):
     """(level, order) of `_levels`; on a cycle, raises CycleError naming the
     smallest vertex of a cyclic strong component."""
     level, order = _levels(net)
-    if len(order) < net.n:
-        raise CycleError(int(np.flatnonzero(_cyclic(net)[1])[0]))
+    if len(order) < net.n:  # an arc inside a class lies on a cycle
+        cls = np.array((0,) + strong_components(net).class_of)
+        raise CycleError(int(net.tails[cls[net.tails] == cls[net.heads]].min()))
     return level, order
 
 
@@ -299,22 +296,30 @@ def is_acyclic(net: Network) -> bool:
 class StandardizedNetwork:
     """A network extended with source s, sink t and the feedback arc (t, s).
 
-    `net` is the input network.  `base` holds the extended network: the
-    input's m arcs first (order kept), then (s, u) for each of the k
-    `sources`, then (u, t) for each of the `sinks`, then the feedback arc
-    last, so the links are base arcs m:m+k and m+k:base.m-1.  `sources`
-    and `sinks`, the minimal and maximal vertices, are ascending and
-    read-only; s = n+1, t = n+2.  The sweeps run on `net` and treat s, t
-    and (t, s) as seeds and closing reductions, so `base` caches nothing.
+    `net` is the input network.  The extended arcs are the input's m arcs
+    first (order kept), then (s, u) for each of the k `sources`, then (u, t)
+    for each of the `sinks`, then the feedback arc, so the links are arcs
+    m:m+k and m+k:feedback_arc.  `sources` and `sinks`, the minimal and
+    maximal vertices, are ascending and read-only; s = n+1, t = n+2.  The
+    sweeps run on `net` and treat s, t and (t, s) as seeds and closing
+    reductions, so `base`, the extended network, is built only when read.
     """
 
     net: Network
-    base: Network
     s: int
     t: int
     feedback_arc: int
     sources: np.ndarray = field(compare=False)  # follow from `net`
     sinks: np.ndarray = field(compare=False)
+
+    @cached_property
+    def base(self) -> Network:
+        net, k, s, t = self.net, len(self.sources), self.s, self.t
+        return Network.from_arrays(
+            t, np.r_[net.tails, np.full(k, s), self.sinks, t],
+            np.r_[net.heads, self.sources, np.full(len(self.sinks), t), s],
+            np.r_[net.weights, np.ones(self.feedback_arc + 1 - net.m)],
+            list(net.labels) + ["s", "t"])
 
 
 def standardize(net: Network) -> StandardizedNetwork:
@@ -324,16 +329,11 @@ def standardize(net: Network) -> StandardizedNetwork:
     """
     _dag_levels(net)
     n = net.n
-    s, t = n + 1, n + 2
     mins = np.flatnonzero(np.bincount(net.heads, minlength=n + 1)[1:] == 0) + 1
     maxs = np.flatnonzero(np.bincount(net.tails, minlength=n + 1)[1:] == 0) + 1
-    tails = np.concatenate([net.tails, np.full(len(mins), s), maxs, [t]])
-    heads = np.concatenate([net.heads, mins, np.full(len(maxs), t), [s]])
-    weights = np.r_[net.weights, np.ones(len(mins) + len(maxs) + 1)]
-    labels = list(net.labels) + ["s", "t"]
-    base = Network.from_arrays(t, tails, heads, weights, labels)
     mins.flags.writeable = maxs.flags.writeable = False
-    return StandardizedNetwork(net, base, s, t, base.m - 1, mins, maxs)
+    return StandardizedNetwork(net, n + 1, n + 2,
+                               net.m + len(mins) + len(maxs), mins, maxs)
 
 
 # --- depths ---

@@ -2,8 +2,8 @@
 
 One subcommand per analysis step: `stats`, `repair`, `weights`, `mainpath`,
 `cpm`, `cut`, `islands`, `hits`.  `main` alone touches files: it reads the
-input once (`_load` keeps its sha256, not its bytes), passes the parsed
-network to the subcommand, and writes what that returns once (`_finish`).
+input once (`_load` keeps its sha256, not its bytes), hands the parsed
+network on unnamed, and writes what the subcommand returns once (`_finish`).
 Every run drops a manifest.json next to its outputs recording the input
 checksum, the resolved parameters, library versions and a checksum per
 emitted file, so a run can be audited and repeated; outputs are
@@ -140,26 +140,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # --- shared plumbing ---
 
-def _load(path: str) -> tuple[str, Network]:
-    """The input's sha256 and the network it holds; its bytes end here."""
+def _load(args) -> Network:
+    """The network in args.input; its sha256 goes to args.sha256 and its
+    bytes end here.  Then str() of an int loses the digit cap that guards
+    int() of the text (CVE-2020-10735), so exact counts of any size render."""
+    path = args.input
     try:
         raw = Path(path).read_bytes()
-        digest, text = hashlib.sha256(raw).hexdigest(), raw.decode("utf-8")
+        args.sha256, text = hashlib.sha256(raw).hexdigest(), raw.decode("utf-8")
         del raw
-        return digest, parse_pajek(text)
+        net = parse_pajek(text)
     except OSError as exc:
         raise _Fail(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _Fail(EXIT_PARSE, f"{path} is not UTF-8 text: {exc}") from exc
     except PajekParseError as exc:
         raise _Fail(EXIT_PARSE, f"{path}: {exc}") from exc
+    getattr(sys, "set_int_max_str_digits", int)(0)  # from 3.10.7; `main` resets
+    return net
 
 
-def _repaired(net: Network, strategy: str, part=None) -> Network:
-    """The chosen repair, on `part` (the strong components) when given."""
+def _repaired(net: Network, strategy: str) -> Network:
     if strategy == "shrink":  # drops loops with every intra-class arc
-        return shrink_components(net, part)
-    return preprint_transform(remove_loops(net), part)
+        return shrink_components(net)
+    return preprint_transform(remove_loops(net))
 
 
 def _table(header: list[str], rows: list[list[str]]) -> str:
@@ -176,7 +180,7 @@ def _zeros(result, *columns) -> int:
                for col in columns for v in col)
 
 
-def _finish(args, digest: str, params: dict, files: dict[str, str],
+def _finish(args, params: dict, files: dict[str, str],
             stdout_text: str, zeros: int = 0) -> int:
     """Write each output, encoded once and hashed as written, then the
     manifest; then the zero count and stdout."""
@@ -192,7 +196,7 @@ def _finish(args, digest: str, params: dict, files: dict[str, str],
             "command": args.command,
             "created_utc": datetime.now(timezone.utc).isoformat(
                 timespec="seconds"),
-            "input": {"path": args.input, "sha256": digest},
+            "input": {"path": args.input, "sha256": args.sha256},
             "outputs": outputs,
             "parameters": params,
             "versions": {"citeflow": __version__,
@@ -220,8 +224,10 @@ def _cmd_stats(args, net):
 
 
 def _cmd_repair(args, net):
-    part = strong_components(net)  # loops keep the SCCs
-    fixed = _repaired(net, args.strategy, part)
+    base = net if args.strategy == "shrink" else remove_loops(net)
+    part = strong_components(base)  # loops keep the SCCs; kept on `base`
+    fixed = _repaired(base, args.strategy)  # for the repair to read
+    del base  # a loop-free copy is not kept for the writer
     nontrivial = sum(1 for size in part.sizes() if size > 1)
     lines = [f"strategy            {args.strategy}",
              f"vertices            {net.n} -> {fixed.n}",
@@ -366,6 +372,9 @@ def _cmd_cut(args, net):
             threshold = math.log(threshold)
             vals = np.where(np.isin(np.arange(net.m), result.floored),
                             -math.inf, vals)
+    elif result.arc.mode == "exact" and 0 < threshold < math.inf:
+        below = math.nextafter(threshold, 0)  # T stands for what rounds to it
+        threshold = (Fraction(threshold) + Fraction(below)) / 2
     sub = arc_cut(net, ArcWeights(vals, result.arc.mode), threshold)
     sizes = sorted((len(c) for c in sub.components), reverse=True)
     params["threshold"] = args.threshold
@@ -460,11 +469,12 @@ def main(argv=None) -> int:
         "stats": _cmd_stats, "repair": _cmd_repair, "weights": _cmd_weights,
         "mainpath": _cmd_mainpath, "cpm": _cmd_cpm, "cut": _cmd_cut,
         "islands": _cmd_islands, "hits": _cmd_hits}[args.command]
+    cap = getattr(sys, "get_int_max_str_digits", int)()
     try:
         if error := _usage_error(args):
             raise _Fail(EXIT_USAGE, error)
-        digest, net = _load(args.input)
-        return _finish(args, digest, *handler(args, net))
+        # from 3.11 only the handler holds the parse, and can let it go
+        return _finish(args, *handler(args, _load(args)))
     except _Fail as fail:
         print(f"citeflow: error: {fail}", file=sys.stderr)
         return fail.code
@@ -478,6 +488,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # devnull takes the interpreter's final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    finally:
+        getattr(sys, "set_int_max_str_digits", int)(cap)
 
 
 if __name__ == "__main__":

@@ -82,11 +82,11 @@ def _aligned(std: StandardizedNetwork, w: ArcWeights):
     auxiliary s/t arcs and the feedback arc, which keeps the traversals
     well-defined.
     """
-    vals = w.values
-    if len(w) == std.base.m:
+    vals, m = w.values, std.feedback_arc + 1
+    if len(w) == m:
         return vals, w.mode
     if len(w) == std.net.m:
-        pad = np.zeros(std.base.m - std.net.m, dtype=vals.dtype)
+        pad = np.zeros(m - std.net.m, dtype=vals.dtype)
         return np.concatenate([vals, pad]), w.mode
     raise ValueError("weight vector matches neither the standardized nor "
                      "the original arc count")
@@ -107,17 +107,17 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
     sweep marks the vertices that those arcs reach from s: O(m) array work.
     """
     vals, mode = _aligned(std, w)
-    net, base, m, k = std.net, std.base, std.net.m, len(std.sources)
+    net, m, k = std.net, std.net.m, len(std.sources)
     # the (s, u) arcs by head, then the input's runs by (tail, head, arc)
     arcs = np.r_[np.arange(m, m + k), net._adjacency()[1]]
-    tails, v = base.tails[arcs], vals[arcs]
+    tails, v = np.r_[np.full(k, std.s), net.tails[arcs[k:]]], vals[arcs]
     runs = np.flatnonzero(np.diff(tails, prepend=-1))  # one per tail
     best = np.repeat(np.maximum.reduceat(v, runs),  # per arc
                      np.diff(runs, append=len(arcs)))
     tied = np.flatnonzero(_tied(v, best, mode))
     if single:  # a run's first tie has the smallest (head, arc)
         tied = tied[np.diff(tails[tied], prepend=-1) != 0]
-    chosen = np.zeros(base.m, dtype=bool)
+    chosen = np.zeros(len(vals), dtype=bool)
     chosen[arcs[tied]] = True
     seen = np.zeros(net.n + 1, dtype=bool)
     seen[std.sources[chosen[m:m + k]]] = True
@@ -149,7 +149,7 @@ def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
     for (seeds, w_in), (links, w_out), start, end, backward in (
             (out_s, into_t, std.s, std.t, False),
             (into_t, out_s, std.t, std.s, True)):
-        c = np.full(std.base.n + 1, -np.inf, dtype=vals.dtype)
+        c = np.full(std.t + 1, -np.inf, dtype=vals.dtype)
         c[start] = -np.inf if mode == "log" else 0
         with np.errstate(over="ignore"):
             c[seeds] = times(c[start], w_in)

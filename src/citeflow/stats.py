@@ -41,12 +41,12 @@ def network_stats(net: Network) -> NetworkStats:
     largest = int(comp_sizes.max(initial=0))
     nontrivial = int(np.count_nonzero(comp_sizes >= 2))
 
-    part = strong_components(net)
-    scc_counts = Counter(size for size in part.sizes() if size >= 2)
+    sizes = strong_components(net).sizes()  # shrink_components reads it
+    scc_counts = Counter(size for size in sizes if size >= 2)
 
     level, order = _levels(net)
     if len(order) < n:  # the condensation of any digraph is acyclic
-        level = _levels(shrink_components(net, part))[0]
+        level = _levels(shrink_components(net))[0]
     depth = int(level.max()) + 1 if n else 0
 
     return NetworkStats(

@@ -88,7 +88,7 @@ def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
     """
     if mode not in MODES:
         raise ValueError(f"unknown numeric mode: {mode!r}")
-    net, base, s, t = std.net, std.base, std.s, std.t
+    net, s, t = std.net, std.s, std.t
     dtype, zero, one, plus, times = _RINGS[mode]
     factor = None if alpha == 1 else {
         "float": alpha, "exact": Fraction(alpha), "log": math.log(alpha)}[mode]
@@ -105,9 +105,9 @@ def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
         _sweep(bwd, net, True, plus, times, factor)
         fwd[s], fwd[t] = one, plus.reduce(fwd[to_t], initial=zero)
         bwd[s], bwd[t] = plus.reduce(bwd[to_s], initial=zero), one
-        arc = times(fwd[base.tails], bwd[base.heads])
+        arc = np.concatenate([times(fwd[net.tails], bwd[net.heads]),
+                              bwd[std.sources], fwd[std.sinks], fwd[t:]])
         vertex = times(fwd[1:], bwd[1:])
-    arc[std.feedback_arc] = fwd[t]
     if mode == "float" and not (np.all(np.isfinite(arc))
                                 and np.all(np.isfinite(vertex))):
         raise WeightOverflowError(

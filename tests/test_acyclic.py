@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import citeflow.acyclic as acyclic_mod
-from citeflow import (CycleError, Network, complete_acyclic, depths,
-                      is_acyclic, network_stats, preprint_transform,
-                      random_dag, remove_loops, shrink_components, standardize,
-                      strong_components, topological_order)
+from citeflow import (CycleError, Network, complete_acyclic, cpm_path, depths,
+                      is_acyclic, main_path, network_stats, preprint_transform,
+                      random_dag, remove_loops, shrink_components, spc,
+                      standardize, strong_components, topological_order)
 
 import oracles
 from conftest import arcs_of, rand_instance, random_multigraph
@@ -53,8 +53,6 @@ def test_loops_do_not_change_strong_components(seed):
     part = strong_components(net)
     loopless = remove_loops(net)
     assert strong_components(loopless) == part
-    assert preprint_transform(loopless, part) == preprint_transform(loopless)
-    assert shrink_components(loopless, part) == shrink_components(loopless)
 
 
 def _nx_classes(net):
@@ -167,6 +165,28 @@ def test_remove_loops():
     net = Network(3, [(1, 1), (1, 2), (2, 2), (2, 3)])
     clean = remove_loops(net)
     assert arcs_of(clean) == [(1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_strong_components_are_built_once_per_network(seed, monkeypatch):
+    tarjan, builds = acyclic_mod._tarjan, []
+
+    def counted(net):
+        builds.append(net)
+        return tarjan(net)
+
+    monkeypatch.setattr(acyclic_mod, "_tarjan", counted)
+    net = random_multigraph(seed)
+    loopless = remove_loops(net)
+    assert remove_loops(loopless) is loopless  # its derived structure with it
+    assert strong_components(net) is strong_components(net)
+    shrink_components(net)
+    preprint_transform(net)
+    network_stats(net)
+    if not is_acyclic(net):
+        with pytest.raises(CycleError):
+            standardize(net)
+    assert builds == [net]
 
 
 def test_shrink_components_merges_classes():
@@ -298,6 +318,30 @@ def test_standardize_matches_independent_construction():
         assert std.sinks.tolist() == base.tails[base.heads == t].tolist()
         for ends in (std.sources, std.sinks):
             assert not ends.flags.writeable
+
+
+def test_standard_form_builds_its_arcs_only_when_read(monkeypatch):
+    net = random_dag(30, 0.2, seed=4)
+    built = []
+    from_arrays = Network.from_arrays.__func__
+
+    def counted(cls, *args):
+        built.append(args[0])
+        return from_arrays(cls, *args)
+
+    monkeypatch.setattr(Network, "from_arrays", classmethod(counted))
+    std = standardize(net)
+    for mode in ("float", "exact", "log"):
+        w = spc(std, mode).arc
+        main_path(std, w)
+        cpm_path(std, w)
+    depths(std)
+    assert built == []
+    base = std.base
+    assert std.base is base and built == [net.n + 2]
+    k = base.m - net.m
+    assert base.weights.tolist() == net.weights.tolist() + [1.0] * k
+    assert base.labels == net.labels + ("s", "t")
 
 
 def test_standardize_isolated_vertex_is_min_and_max():

@@ -619,3 +619,90 @@ def test_normalize_rejected_without_total(tmp_path, diamond_file, capsys):
     assert run(["cut", diamond_file, "--method", "sum", "--normalize",
                 "--threshold", "1", "--out", tmp_path / "o"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# --- derived structure built once, networks let go, digits without a cap ---
+
+LOOPY = TWO_CYCLE + "3 3\n1 1\n"  # a 2-cycle, a loop in it and one outside
+
+
+@pytest.mark.parametrize("argv", [
+    ["repair", "--repair", "preprint"], ["repair", "--repair", "shrink"],
+    ["stats"], ["weights", "--repair", "shrink"]])
+def test_one_tarjan_build_per_command(tmp_path, monkeypatch, argv, capsys):
+    tarjan, builds = citeflow.acyclic._tarjan, []
+
+    def counted(net):
+        builds.append(net.n)
+        return tarjan(net)
+
+    monkeypatch.setattr(citeflow.acyclic, "_tarjan", counted)
+    src = tmp_path / "loopy.net"
+    src.write_text(LOOPY)
+    assert run([argv[0], src, *argv[1:], "--out", tmp_path / "o"]) == 0
+    assert builds == [3]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Python 3.10 keeps a "
+                    "call's arguments alive in the caller until it returns")
+@pytest.mark.parametrize("argv, writer", [
+    (["weights", "--repair", "shrink"], "write_pajek"),
+    (["cut", "--repair", "shrink", "--normalize", "--threshold", "0"],
+     "write_subnetwork")])
+def test_the_parse_is_gone_when_the_writer_runs(tmp_path, monkeypatch, argv,
+                                                writer, capsys):
+    import weakref
+    parse, write = citeflow.cli.parse_pajek, getattr(citeflow.cli, writer)
+    parsed, alive = [], []
+
+    def parse_and_watch(text):  # a Network has no weakref slot; its arrays do
+        net = parse(text)
+        parsed.extend(map(weakref.ref, (net.tails, net.heads, net.weights)))
+        return net
+
+    def write_and_look(*args):
+        alive.append(any(ref() is not None for ref in parsed))
+        return write(*args)
+
+    monkeypatch.setattr(citeflow.cli, "parse_pajek", parse_and_watch)
+    monkeypatch.setattr(citeflow.cli, writer, write_and_look)
+    src = tmp_path / "loopy.net"
+    src.write_text(LOOPY)
+    assert run([argv[0], src, *argv[1:], "--out", tmp_path / "o"]) == 0
+    assert alive == [False]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the int digit cap came with Python 3.10.7")
+def test_exact_counts_above_the_digit_cap(tmp_path, capsys):
+    total, half = str(2**2200), str(2**2199)  # 663 and 663 digits
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        src = tmp_path / "chain.net"
+        src.write_text(write_pajek(diamond_chain(2200)))
+        for argv, name in [
+                (["weights", "--mode", "exact"], "spc.vec"),
+                (["weights", "--mode", "exact", "--normalize"], None),
+                (["weights", "--mode", "exact", "--jsonl"], "spc.jsonl"),
+                (["mainpath", "--mode", "exact"], "mainpath.net")]:
+            out = tmp_path / "_".join(argv)
+            assert run([argv[0], src, *argv[1:], "--out", out]) == 0
+            assert sys.get_int_max_str_digits() == 640
+            text = (out / name).read_text() if name else capsys.readouterr().out
+            lines = text.splitlines()
+            if name == "spc.vec":  # every path starts at vertex 1
+                assert lines[1] == total
+            elif name == "spc.jsonl":
+                assert f'"total_flow": {total},' in lines[0]
+            elif name == "mainpath.net":  # each arc lies on half the paths
+                assert lines[-1] == f"{6600} {6601} {half}"
+            else:
+                assert f"totalFlow    {total}" in lines
+        # the cap holds while the input is parsed
+        src.write_text(f"*Vertices 1\n{'7' * 700} \"a\"\n*Arcs\n")
+        assert run(["stats", src, "--out", tmp_path / "o"]) == 3
+        assert "vertex id is not an integer" in capsys.readouterr().err
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -109,7 +109,7 @@ def test_simplify_matches_dict_merge_bit_for_bit(seed):
 def test_shrink_matches_dict_merge_bit_for_bit(seed):
     net = random_multigraph(seed)
     part = strong_components(net)
-    assert same_bits(shrink_components(net, part),
+    assert same_bits(shrink_components(net),
                      *oracles.shrink_reference(net.n, weighted_arcs(net),
                                                part.class_of, net.labels))
 
