@@ -1,9 +1,10 @@
 """Command line front end.
 
 One subcommand per analysis step: `stats`, `repair`, `weights`, `mainpath`,
-`cpm`, `cut`, `islands`, `hits`.  `main` alone touches files: it reads the
-input once (`_load` keeps its sha256, not its bytes), hands the parsed
-network on unnamed, and writes what the subcommand returns once (`_finish`).
+`cpm`, `cut`, `islands`, `hits`.  `main` alone touches files: it loads the
+input once (`_load` keeps its sha256, not its bytes), runs `_front` (the
+weight commands' shared front half) on the unnamed parse and the command on
+what `_front` returns, and writes what the command returns once (`_finish`).
 Every run drops a manifest.json next to its outputs recording the input
 checksum, the resolved parameters, library versions and a checksum per
 emitted file, so a run can be audited and repeated; outputs are
@@ -217,7 +218,7 @@ def _finish(args, params: dict, files: dict[str, str],
     return EXIT_OK
 
 
-# --- commands: (args, network) -> (parameters, files, stdout[, zeros]) ---
+# --- commands: (args, *front half) -> (parameters, files, stdout[, zeros]) ---
 
 def _cmd_stats(args, net):
     return {}, {}, format_stats(network_stats(net))
@@ -240,29 +241,26 @@ def _cmd_repair(args, net):
     return {"strategy": args.strategy}, files, "\n".join(lines)
 
 
-def _weighted(args, net: Network):
-    """Front half shared by every weight-driven command: simplify, repair or
-    reject cycles, compute (float counts that overflow without --mode are
-    rerun in log mode), then normalize / take logs.  Returns (network,
-    standardized | None, result, manifest parameters, repair applied)."""
+def _front(args, net: Network) -> tuple:
+    """The command's arguments after `args`: the parse for `stats`, `repair`
+    and `hits`; for a weight command (network, standard form, result,
+    manifest parameters, repair applied), the parse simplified, repaired or
+    rejected if cyclic, weighed, normalized and logged."""
+    if "method" not in args:
+        return (net,)
     net, repaired = simplify(net), "none"
     if not is_acyclic(net):
         if args.repair is None:
             raise _Fail(EXIT_CYCLIC, "input network is cyclic; rerun with "
                         "--repair shrink or --repair preprint")
         net, repaired = _repaired(net, args.repair), args.repair
-    std = result = None
+    std, result = standardize(net), None
     if args.method in ("nppc", "sum"):
         result = {"nppc": nppc, "sum": sum_weights}[args.method](net)
     else:
-        std = standardize(net)
-
-        def counts(mode: str):
-            if args.alpha is not None:
-                return aged_path_counts(std, args.alpha, mode)
-            return {"spc": spc, "splc": splc, "spnp": spnp}[args.method](
-                std, mode)
-
+        kernel = {"spc": spc, "splc": splc, "spnp": spnp}[args.method]
+        counts = (partial(kernel, std) if args.alpha is None
+                  else partial(aged_path_counts, std, args.alpha))
         try:
             result = counts(args.mode or "float")
         except WeightOverflowError:
@@ -272,7 +270,9 @@ def _weighted(args, net: Network):
                   "in log mode", file=sys.stderr)
         if result is None:
             result = counts("log")
-    mode = result.arc.mode  # what ran: nppc and sum are always exact
+    params = {"method": args.method, "mode": result.arc.mode,  # what ran
+              "alpha": args.alpha, "repair": args.repair,
+              "normalize": args.normalize, "log": args.log}
     try:
         if args.normalize:
             result = normalize(result)
@@ -280,9 +280,6 @@ def _weighted(args, net: Network):
             result = log_transform(result)
     except ValueError as exc:
         raise _Fail(EXIT_USAGE, str(exc)) from exc
-    params = {"method": args.method, "mode": mode, "alpha": args.alpha,
-              "repair": args.repair, "normalize": args.normalize,
-              "log": args.log}
     return net, std, result, params, repaired
 
 
@@ -292,16 +289,14 @@ def _subnetwork(params, name, sub, result, text):
             _zeros(result, result.arc.values[list(sub.arcs)]))
 
 
-def _cmd_weights(args, net):
-    net, std, result, params, repaired = _weighted(args, net)
-    mode = params["mode"]
+def _cmd_weights(args, net, std, result, params, repaired):
     arc_vals = result.arc.values[:net.m]  # the input's arcs come first
     files = {f"{args.method}.net": write_pajek(net, arc_vals)}
     if result.vertex is not None:
         files[f"{args.method}.vec"] = write_vector(result.vertex[:net.n])
 
     summary = [f"method       {result.method}",
-               f"mode         {mode}",
+               f"mode         {params['mode']}",
                f"vertices     {net.n}",
                f"arcs         {net.m}",
                f"repair       {repaired}"]
@@ -325,10 +320,10 @@ def _cmd_weights(args, net):
     if args.jsonl:  # exact fractions as strings
         record = partial(json.dumps, sort_keys=True, default=str)
         lines = [record({
-            "record": "summary", "method": result.method, "mode": mode,
-            "alpha": result.alpha, "normalized": result.normalized,
-            "total_flow": result.total_flow, "vertices": net.n,
-            "arcs": net.m})]
+            "record": "summary", "method": result.method,
+            "mode": params["mode"], "alpha": result.alpha,
+            "normalized": result.normalized, "total_flow": result.total_flow,
+            "vertices": net.n, "arcs": net.m})]
         lines += [record({"record": "arc", "index": i, "tail": t,
                           "head": h, "weight": value})
                   for i, (t, h, value) in enumerate(zip(
@@ -345,25 +340,22 @@ def _cmd_weights(args, net):
         else result.vertex[:net.n])
 
 
-def _cmd_mainpath(args, net):
-    net, std, result, params, _ = _weighted(args, net)
-    sub = main_path(std or standardize(net), result.arc, single=args.single)
+def _cmd_mainpath(args, net, std, result, params, repaired):
+    sub = main_path(std, result.arc, single=args.single)
     params["single"] = args.single
     return _subnetwork(params, "mainpath.net", sub, result,
                        f"main path: {len(sub.vertices)} vertices, "
                        f"{len(sub.arcs)} arcs (method {result.method})")
 
 
-def _cmd_cpm(args, net):
-    net, std, result, params, _ = _weighted(args, net)
-    sub = cpm_path(std or standardize(net), result.arc)
+def _cmd_cpm(args, net, std, result, params, repaired):
+    sub = cpm_path(std, result.arc)
     return _subnetwork(params, "cpm.net", sub, result,
                        f"critical path: {len(sub.vertices)} vertices, "
                        f"{len(sub.arcs)} arcs (method {result.method})")
 
 
-def _cmd_cut(args, net):
-    net, std, result, params, _ = _weighted(args, net)
+def _cmd_cut(args, net, std, result, params, repaired):
     vals, threshold = result.arc.values[:net.m], args.threshold
     if result.arc.mode == "log":  # logs: cut at ln T, where T is linear
         if threshold <= 0:
@@ -385,8 +377,7 @@ def _cmd_cut(args, net):
                        + (f" (largest {sizes[0]})" if sizes else ""))
 
 
-def _cmd_islands(args, net):
-    net, std, result, params, _ = _weighted(args, net)
+def _cmd_islands(args, net, std, result, params, repaired):
     vals = ArcWeights(result.arc.values[:net.m], result.arc.mode)
     try:
         found = islands(net, vals, min_size=args.k, max_size=args.K)
@@ -473,8 +464,8 @@ def main(argv=None) -> int:
     try:
         if error := _usage_error(args):
             raise _Fail(EXIT_USAGE, error)
-        # from 3.11 only the handler holds the parse, and can let it go
-        return _finish(args, *handler(args, _load(args)))
+        # no name here holds the parse: it lives in `_front` and dies there
+        return _finish(args, *handler(args, *_front(args, _load(args))))
     except _Fail as fail:
         print(f"citeflow: error: {fail}", file=sys.stderr)
         return fail.code

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acyclic import StandardizedNetwork, _sweep
-from .network import ArcWeights, Network, _forest, _unique
+from .network import _CHUNK, ArcWeights, Network, _forest, _unique
 from .pajek import write_pajek
 from .weights import WeightOverflowError
 
 _TIE = 1e-12
-_CHUNK = 1 << 16  # arcs per pass over path totals: bounds exact-mode memory
 
 
 def _tied(a, b, mode: str):

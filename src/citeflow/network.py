@@ -27,6 +27,7 @@ import numpy as np
 #   "log"   - natural logarithms of the counts, sums via log-add-exp
 Mode = Literal["float", "exact", "log"]
 MODES: tuple[str, ...] = ("float", "exact", "log")
+_CHUNK = 1 << 16  # arcs per slice of a per-arc pass: bounds its temporaries
 
 
 class ArcWeights:

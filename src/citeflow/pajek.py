@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import ArcWeights, Network
+from .network import _CHUNK, ArcWeights, Network
 
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # as str.splitlines
 
@@ -194,12 +194,13 @@ def _numbers(values) -> list[str]:
 
 
 def write_pajek(net: Network, weights: ArcWeights | None = None) -> str:
-    """Render a Network as .net text.
-
-    `weights` overrides the stored arc weight column (same arc order).  A
-    label holding a quote is written bare; ValueError if it cannot read back.
-    """
-    if weights is not None and len(weights) != net.m:
+    """Render a Network as .net text, its arc lines one `_CHUNK` slice at a
+    time, so that one slice's per-arc lists live beside the text, which is
+    joined once.  `weights` overrides the stored arc weight column (same arc
+    order).  A label holding a quote is written bare; ValueError if it cannot
+    read back."""
+    vals = net.weights if weights is None else weights
+    if len(vals) != net.m:
         raise ValueError("weight vector does not match arc count")
     if any(map("".join(net.labels).__contains__, '"' + _LINE_BREAKS)):
         for label in net.labels:
@@ -210,9 +211,13 @@ def write_pajek(net: Network, weights: ArcWeights | None = None) -> str:
     out += [f"{v} {label}" if '"' in label else f'{v} "{label}"'
             for v, label in enumerate(net.labels, start=1)]
     out.append("*Arcs")
-    out += map("{} {} {}".format, net.tails.tolist(), net.heads.tolist(),
-               _numbers(net.weights if weights is None else weights))
-    return "\n".join(out) + "\n"
+    for at in range(0, net.m, _CHUNK):
+        part = slice(at, at + _CHUNK)
+        out.append("\n".join(map(
+            "{} {} {}".format, net.tails[part].tolist(),
+            net.heads[part].tolist(), _numbers(vals[part]))))
+    out.append("")  # the last line break, with no copy of the text
+    return "\n".join(out)
 
 
 def write_vector(values) -> str:

@@ -643,8 +643,6 @@ def test_one_tarjan_build_per_command(tmp_path, monkeypatch, argv, capsys):
     assert builds == [3]
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="Python 3.10 keeps a "
-                    "call's arguments alive in the caller until it returns")
 @pytest.mark.parametrize("argv, writer", [
     (["weights", "--repair", "shrink"], "write_pajek"),
     (["cut", "--repair", "shrink", "--normalize", "--threshold", "0"],
@@ -666,6 +664,35 @@ def test_the_parse_is_gone_when_the_writer_runs(tmp_path, monkeypatch, argv,
 
     monkeypatch.setattr(citeflow.cli, "parse_pajek", parse_and_watch)
     monkeypatch.setattr(citeflow.cli, writer, write_and_look)
+    src = tmp_path / "loopy.net"
+    src.write_text(LOOPY)
+    assert run([argv[0], src, *argv[1:], "--out", tmp_path / "o"]) == 0
+    assert alive == [False]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Python 3.10 keeps a "
+                    "call's arguments alive in the caller until it returns")
+@pytest.mark.parametrize("argv", [
+    ["weights", "--repair", "shrink"],
+    ["cut", "--repair", "shrink", "--normalize", "--threshold", "0"]])
+def test_the_parse_is_gone_when_the_standard_form_is_built(tmp_path,
+                                                           monkeypatch, argv,
+                                                           capsys):
+    import weakref
+    parse, build = citeflow.cli.parse_pajek, citeflow.cli.standardize
+    parsed, alive = [], []
+
+    def parse_and_watch(text):
+        net = parse(text)
+        parsed.extend(map(weakref.ref, (net.tails, net.heads, net.weights)))
+        return net
+
+    def build_and_look(net):
+        alive.append(any(ref() is not None for ref in parsed))
+        return build(net)
+
+    monkeypatch.setattr(citeflow.cli, "parse_pajek", parse_and_watch)
+    monkeypatch.setattr(citeflow.cli, "standardize", build_and_look)
     src = tmp_path / "loopy.net"
     src.write_text(LOOPY)
     assert run([argv[0], src, *argv[1:], "--out", tmp_path / "o"]) == 0

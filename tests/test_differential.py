@@ -9,6 +9,8 @@ same ties.  The cut threshold is one of the exact normalized shares.
 
 import contextlib
 import io
+import itertools
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -93,3 +95,82 @@ def test_extractors_agree_across_modes(text, data):
                 assert size == tuple(map(int, REPORT.search(stdout).groups()))
                 picked.append(arcs)
             assert picked[0] == picked[1] == picked[2], (name, threshold)
+
+
+@st.composite
+def forward_multigraphs(draw):
+    """Pajek text of a multigraph whose arcs point to the larger id, bar its
+    loops and up to two drawn reversed; its arc count is drawn uniformly, so
+    that most examples weigh their arcs unequally."""
+    n = draw(st.integers(2, 12))
+    vertex, size = st.integers(1, n), draw(st.integers(0, 40))
+    arcs = list(map(sorted, draw(st.lists(st.tuples(vertex, vertex),
+                                          min_size=size, max_size=size))))
+    if arcs:
+        arcs += [(h, t) for t, h in draw(st.lists(st.sampled_from(arcs),
+                                                  max_size=2))]
+    return (f"*Vertices {n}\n*Arcs\n"
+            + "".join(f"{t} {h}\n" for t, h in arcs))
+
+
+def parsed_column(text):
+    """The numbers of a written .vec, as floats."""
+    return [float(line) for line in text.splitlines()[1:]]
+
+
+@given(text=forward_multigraphs())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_weights_jsonl_records_what_the_net_holds(text):
+    # exact weights reach the jsonl as ints or Fraction strings, the .net as
+    # the nearest double: only the arcs are compared there
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "in.net")
+        src.write_text(text)
+        for mode in MODES:
+            code, _, files = run(["weights", src, "--mode", mode, "--repair",
+                                  "shrink", "--jsonl"], Path(tmp, mode))
+            assert code == 0, mode
+            net = parse_pajek(files["spc.net"])
+            records = [json.loads(line)
+                       for line in files["spc.jsonl"].splitlines()]
+            summary, arcs = records[0], records[1:net.m + 1]
+            vertices = records[net.m + 1:]
+            assert (summary["vertices"], summary["arcs"]) == (net.n, net.m)
+            assert [(r["record"], r["index"], r["tail"], r["head"])
+                    for r in arcs] == [
+                ("arc", i, t, h) for i, (t, h) in enumerate(zip(
+                    net.tails.tolist(), net.heads.tolist()))]
+            assert [(r["record"], r["id"]) for r in vertices] == [
+                ("vertex", v) for v in range(1, net.n + 1)]
+            if mode != "exact":
+                assert [r["weight"] for r in arcs] == net.weights.tolist()
+                assert [r["weight"] for r in vertices] == parsed_column(
+                    files["spc.vec"])
+
+
+@given(text=forward_multigraphs(), data=st.data())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_log_weights_select_what_linear_weights_select(text, data):
+    # --log in log mode passes the weights through, so float and exact only
+    shares = exact_shares(text)
+    threshold = float(data.draw(st.sampled_from(sorted(set(shares)) or [1])))
+    commands = {"mainpath": ["mainpath"],
+                "cut": ["cut", "--normalize", "--threshold", repr(threshold)],
+                "islands": ["islands", "--k", "2"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "in.net")
+        src.write_text(text)
+        for (name, argv), mode in itertools.product(commands.items(),
+                                                    ("float", "exact")):
+            codes, picked = [], []
+            for log in ([], ["--log"]):
+                code, _, files = run(
+                    [argv[0], src, *argv[1:], "--mode", mode, "--repair",
+                     "shrink", *log], Path(tmp, name, mode, *log))
+                codes.append(code)
+                picked.append(None if code else
+                              (files["islands.clu"], files["island_sizes.csv"])
+                              if name == "islands" else
+                              written_arcs(files[f"{name}.net"]))
+            assert set(codes) <= EXITS and codes[0] == codes[1], (name, codes)
+            assert picked[0] == picked[1], (name, mode, threshold)
