@@ -41,8 +41,8 @@ from .acyclic import (CycleError, is_acyclic, preprint_transform, remove_loops,
                       shrink_components, standardize, strong_components)
 from .extract import arc_cut, cpm_path, islands, main_path, write_subnetwork
 from .network import MODES, ArcWeights, Network, simplify
-from .pajek import (PajekParseError, format_number, parse_pajek, write_pajek,
-                    write_partition, write_vector)
+from .pajek import (PajekParseError, _rows, format_number, parse_pajek,
+                    write_pajek, write_partition, write_vector)
 from .rank import hits
 from .stats import format_stats, network_stats
 from .weights import (WeightOverflowError, aged_path_counts, log_transform,
@@ -291,9 +291,10 @@ def _subnetwork(params, name, sub, result, text):
 
 def _cmd_weights(args, net, std, result, params, repaired):
     arc_vals = result.arc.values[:net.m]  # the input's arcs come first
+    vertex = None if result.vertex is None else result.vertex[:net.n]
     files = {f"{args.method}.net": write_pajek(net, arc_vals)}
-    if result.vertex is not None:
-        files[f"{args.method}.vec"] = write_vector(result.vertex[:net.n])
+    if vertex is not None:
+        files[f"{args.method}.vec"] = write_vector(vertex)
 
     summary = [f"method       {result.method}",
                f"mode         {params['mode']}",
@@ -317,27 +318,26 @@ def _cmd_weights(args, net, std, result, params, repaired):
     if args.log:
         summary.append(f"floored      {len(result.floored)} zero-weight arcs")
 
-    if args.jsonl:  # exact fractions as strings
-        record = partial(json.dumps, sort_keys=True, default=str)
-        lines = [record({
+    if args.jsonl:  # json.dumps(sort_keys=True, default=str)'s bytes
+        weight = json.JSONEncoder(default=str).encode  # fractions as strings
+        lines = [json.dumps({
             "record": "summary", "method": result.method,
             "mode": params["mode"], "alpha": result.alpha,
             "normalized": result.normalized, "total_flow": result.total_flow,
-            "vertices": net.n, "arcs": net.m})]
-        lines += [record({"record": "arc", "index": i, "tail": t,
-                          "head": h, "weight": value})
-                  for i, (t, h, value) in enumerate(zip(
-                      net.tails.tolist(), net.heads.tolist(),
-                      arc_vals.tolist()))]
-        if result.vertex is not None:
-            lines += [record({"record": "vertex", "id": v, "weight": value})
-                      for v, value in enumerate(
-                          list(result.vertex)[:net.n], start=1)]
-        files[f"{args.method}.jsonl"] = "\n".join(lines) + "\n"
+            "vertices": net.n, "arcs": net.m}, sort_keys=True, default=str)]
+        lines += _rows('{{"head": {}, "index": {}, "record": "arc", "tail": '
+                       '{}, "weight": {}}}', net.m, lambda at: (
+                           net.heads[at].tolist(), range(net.m)[at],
+                           net.tails[at].tolist(),
+                           map(weight, arc_vals[at].tolist())))
+        if vertex is not None:
+            lines += _rows('{{"id": {}, "record": "vertex", "weight": {}}}',
+                           net.n, lambda at: (range(1, net.n + 1)[at],
+                                              map(weight, vertex[at])))
+        files[f"{args.method}.jsonl"] = "\n".join([*lines, ""])
 
     return params, files, "\n".join(summary), _zeros(
-        result, arc_vals, () if result.vertex is None
-        else result.vertex[:net.n])
+        result, arc_vals, () if vertex is None else vertex)
 
 
 def _cmd_mainpath(args, net, std, result, params, repaired):

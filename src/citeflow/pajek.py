@@ -180,10 +180,9 @@ def format_number(value) -> str:
 
 
 def _numbers(values) -> list[str]:
-    """format_number over a column (sequence, array or ArcWeights).  A
-    float64 array takes one mask of its integral values: those are cast to
-    int64, so str renders every value, an int's digits or a float's repr."""
-    values = values.values if isinstance(values, ArcWeights) else values
+    """format_number over a column (a sequence or an array).  A float64
+    array takes one mask of its integral values: those are cast to int64, so
+    str renders every value, an int's digits or a float's repr."""
     if getattr(values, "dtype", None) != np.float64:
         return list(map(format_number, values.tolist()
                         if hasattr(values, "tolist") else values))
@@ -193,12 +192,18 @@ def _numbers(values) -> list[str]:
     return list(map(str, out))
 
 
+def _rows(form: str, count: int, columns) -> list[str]:
+    """The lines `form.format(*row)` of `count` rows, one joined text per
+    `_CHUNK` slice `at`, from `columns(at)`: that slice's columns alone."""
+    return ["\n".join(map(form.format, *columns(slice(start, start + _CHUNK))))
+            for start in range(0, count, _CHUNK)]
+
+
 def write_pajek(net: Network, weights: ArcWeights | None = None) -> str:
-    """Render a Network as .net text, its arc lines one `_CHUNK` slice at a
-    time, so that one slice's per-arc lists live beside the text, which is
-    joined once.  `weights` overrides the stored arc weight column (same arc
-    order).  A label holding a quote is written bare; ValueError if it cannot
-    read back."""
+    """Render a Network as .net text, its vertex and arc lines one `_CHUNK`
+    slice at a time, joined once.  `weights` overrides the stored arc weight
+    column (same arc order).  A label holding a quote is written bare;
+    ValueError if it cannot read back."""
     vals = net.weights if weights is None else weights
     if len(vals) != net.m:
         raise ValueError("weight vector does not match arc count")
@@ -207,23 +212,18 @@ def write_pajek(net: Network, weights: ArcWeights | None = None) -> str:
             if (any(map(label.__contains__, _LINE_BREAKS)) or label[:1] == '"'
                     or '"' in label and label.split() != [label]):
                 raise ValueError(f"vertex label {label!r} would not read back")
-    out = [f"*Vertices {net.n}"]
-    out += [f"{v} {label}" if '"' in label else f'{v} "{label}"'
-            for v, label in enumerate(net.labels, start=1)]
-    out.append("*Arcs")
-    for at in range(0, net.m, _CHUNK):
-        part = slice(at, at + _CHUNK)
-        out.append("\n".join(map(
-            "{} {} {}".format, net.tails[part].tolist(),
-            net.heads[part].tolist(), _numbers(vals[part]))))
-    out.append("")  # the last line break, with no copy of the text
-    return "\n".join(out)
+    return "\n".join([f"*Vertices {net.n}", *_rows("{} {}", net.n, lambda at: (
+        range(1, net.n + 1)[at], (label if '"' in label else f'"{label}"'
+                                  for label in net.labels[at]))),
+        "*Arcs", *_rows("{} {} {}", net.m, lambda at: (
+            net.tails[at].tolist(), net.heads[at].tolist(),
+            _numbers(vals[at]))), ""])  # "": the last line break, no copy
 
 
 def write_vector(values) -> str:
-    """Render per-vertex numeric values as .vec text."""
-    out = _numbers(values)
-    return "\n".join([f"*Vertices {len(out)}", *out]) + "\n"
+    """Render per-vertex numeric values as .vec text, one slice at a time."""
+    return "\n".join([f"*Vertices {len(values)}", *_rows(
+        "{}", len(values), lambda at: (_numbers(values[at]),)), ""])
 
 
 def write_partition(classes) -> str:
