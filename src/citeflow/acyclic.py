@@ -227,8 +227,8 @@ def _level_sweep(net: Network):
 def _stage_groups(net: Network, by_tail: bool):
     """Stage schedule of the arcs by the forward level of their tails, or
     heads: one np.lexsort by (stage, near endpoint, arc).  `_sweep` builds
-    it once per direction as net._memo(_stage_groups, by_tail), for the
-    flow methods, the closures, main_path and cpm_path alike.
+    it once per direction as net._memo(_stage_groups, by_tail), for every
+    `_from_end` sweep and the closures alike.
 
     Read-only (idx, stage, runs, ends): the arcs in that order (int32 when
     they fit: 4 bytes per arc), the bounds in idx of each stage that has
@@ -283,6 +283,25 @@ def _sweep(c: np.ndarray, net: Network, backward: bool, plus, times=None,
             vals = times(vals, factor[arcs] if isinstance(factor, np.ndarray)
                          else factor)
         c[e] = plus(c[e], plus.reduceat(vals, seg))
+    return c
+
+
+def _from_end(std: StandardizedNetwork, backward: bool, ring, factor, near,
+              far) -> np.ndarray:
+    """The one seeded sweep of the standard form in the semiring `ring` =
+    (dtype, zero, one, ⊕, ⊗), indexed 0..t: c[v] is the ⊕ over the paths
+    s -> v (with `backward`, v -> t) of the ⊗ of their arc weights.  The
+    links at the starting end, `near` = (ends, weights), seed their ends
+    (one ⊗ w = w), `_sweep` weighs each input arc by `factor`, the starting
+    end takes one and the other end ⊕-closes over the `far` links.
+    """
+    dtype, zero, one, plus, times = ring
+    (seeds, w_in), (links, w_out) = near, far
+    c = np.full(std.t + 1, zero, dtype=dtype)
+    c[seeds] = w_in
+    _sweep(c, std.net, backward, plus, times, factor)
+    start, end = (std.t, std.s) if backward else (std.s, std.t)
+    c[start], c[end] = one, plus.reduce(times(c[links], w_out), initial=zero)
     return c
 
 
@@ -353,13 +372,11 @@ class DepthMap:
 
 
 def depths(std: StandardizedNetwork) -> DepthMap:
-    """h: the input's levels, one arc further from s; h_minus: one backward
-    max-plus stage sweep, one arc further from t.  s and t lie H = (input
-    depth) + 2 apart, or 0 apart when the input has no vertex."""
-    net = std.net
-    fwd = _dag_levels(net)[0][1:] + 1
-    bwd = _sweep(np.zeros(net.n + 1, dtype=np.int64), net, True, np.maximum,
-                 np.add, 1)[1:] + 1
-    H = int(fwd.max()) + 1 if fwd.size else 0
-    return DepthMap(tuple(fwd.tolist()) + (0, H),
-                    tuple(bwd.tolist()) + (H, 0), H)
+    """h: the input's levels, one arc further from s; h_minus: the backward
+    `_from_end` sweep in the (max, +) semiring over unit arcs.  s and t lie
+    H = (input depth) + 2 apart, or 0 apart when the input has no vertex."""
+    fwd = _dag_levels(std.net)[0][1:] + 1
+    bwd = _from_end(std, True, (np.int64, 0, 0, np.maximum, np.add), 1,
+                    (std.sinks, 1), (std.sources, 1))
+    H = int(bwd[std.s])
+    return DepthMap(tuple(fwd.tolist()) + (0, H), tuple(bwd[1:].tolist()), H)

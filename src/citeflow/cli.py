@@ -319,7 +319,10 @@ def _cmd_weights(args, net, std, result, params, repaired):
         summary.append(f"floored      {len(result.floored)} zero-weight arcs")
 
     if args.jsonl:  # json.dumps(sort_keys=True, default=str)'s bytes
-        weight = json.JSONEncoder(default=str).encode  # fractions as strings
+        encode = json.JSONEncoder(default=str).encode  # fractions as strings
+
+        def encoded(column):  # one encoder per slice, split into values
+            return encode(list(column))[1:-1].split(", ")
         lines = [json.dumps({
             "record": "summary", "method": result.method,
             "mode": params["mode"], "alpha": result.alpha,
@@ -329,11 +332,11 @@ def _cmd_weights(args, net, std, result, params, repaired):
                        '{}, "weight": {}}}', net.m, lambda at: (
                            net.heads[at].tolist(), range(net.m)[at],
                            net.tails[at].tolist(),
-                           map(weight, arc_vals[at].tolist())))
+                           encoded(arc_vals[at].tolist())))
         if vertex is not None:
             lines += _rows('{{"id": {}, "record": "vertex", "weight": {}}}',
                            net.n, lambda at: (range(1, net.n + 1)[at],
-                                              map(weight, vertex[at])))
+                                              encoded(vertex[at])))
         files[f"{args.method}.jsonl"] = "\n".join([*lines, ""])
 
     return params, files, "\n".join(summary), _zeros(
@@ -358,12 +361,7 @@ def _cmd_cpm(args, net, std, result, params, repaired):
 def _cmd_cut(args, net, std, result, params, repaired):
     vals, threshold = result.arc.values[:net.m], args.threshold
     if result.arc.mode == "log":  # logs: cut at ln T, where T is linear
-        if threshold <= 0:
-            threshold = -math.inf
-        else:  # zeros mapped to a floor stay below T > 0
-            threshold = math.log(threshold)
-            vals = np.where(np.isin(np.arange(net.m), result.floored),
-                            -math.inf, vals)
+        threshold = math.log(threshold) if threshold > 0 else -math.inf
     elif result.arc.mode == "exact" and 0 < threshold < math.inf:
         below = math.nextafter(threshold, 0)  # T stands for what rounds to it
         threshold = (Fraction(threshold) + Fraction(below)) / 2

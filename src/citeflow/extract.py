@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acyclic import StandardizedNetwork, _sweep
+from .acyclic import StandardizedNetwork, _from_end
 from .network import _CHUNK, ArcWeights, Network, _forest, _unique
 from .pajek import write_pajek
-from .weights import WeightOverflowError
+from .weights import _RINGS, WeightOverflowError
 
 _TIE = 1e-12
 
@@ -102,8 +102,9 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
     `single` ties break toward the smallest head id and exactly one chain
     comes back.  The source, sink and their auxiliary arcs are stripped from
     the report.  One pass over the (s, u) arcs and the input's adjacency
-    index picks every vertex's heaviest out-arcs, and one forward stage
-    sweep marks the vertices that those arcs reach from s: O(m) array work.
+    index picks every vertex's heaviest out-arcs, and one forward
+    `_from_end` sweep in the (or, and) semiring marks the vertices that
+    those arcs reach from s: O(m) array work.
     """
     vals, mode = _aligned(std, w)
     net, m, k = std.net, std.net.m, len(std.sources)
@@ -118,11 +119,11 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
         tied = tied[np.diff(tails[tied], prepend=-1) != 0]
     chosen = np.zeros(len(vals), dtype=bool)
     chosen[arcs[tied]] = True
-    seen = np.zeros(net.n + 1, dtype=bool)
-    seen[std.sources[chosen[m:m + k]]] = True
-    _sweep(seen, net, False, np.logical_or, np.logical_and, chosen)
+    links = (std.sources, chosen[m:m + k]), (std.sinks, chosen[m + k:-1])
+    seen = _from_end(std, False, (bool, False, True, np.logical_or,
+                                  np.logical_and), chosen, *links)
     keep = np.flatnonzero(chosen[:m] & seen[net.tails])
-    verts = frozenset(np.flatnonzero(seen).tolist())
+    verts = frozenset(np.flatnonzero(seen[:std.s]).tolist())
     return Subnetwork(net, verts, tuple(keep.tolist()), "main_path")
 
 
@@ -131,32 +132,22 @@ def main_path(std: StandardizedNetwork, w: ArcWeights,
 def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
     """Arcs and vertices lying on maximum-total-weight source-sink paths.
 
-    Classic two-sweep longest-path dynamic program over the input's
-    topological stages, seeded over the (s, u) arcs (the (u, t) arcs
-    backwards) and closed with one reduction over the arcs into t (out of
-    s); every optimal path is reported when totals tie (`_tied`).  A path's
-    total is the sum of its linear weights in every mode: log weights add
-    with logaddexp, from ln 0 = -inf.  Float totals beyond the double range
-    would all tie at inf, so float mode then raises WeightOverflowError, as
-    float counts do.
+    The two `_from_end` sweeps of the path counts in the (max, ⊕) semiring,
+    ⊕ being the mode's count sum: a path's total is the sum of its linear
+    weights in every mode (log weights add with logaddexp, from ln 0 =
+    -inf), and max keeps the best total s -> v, then v -> t.  Every optimal
+    path is reported when totals tie (`_tied`).  Float totals beyond the
+    double range would all tie at inf, so float mode then raises
+    WeightOverflowError, as float counts do.
     """
     vals, mode = _aligned(std, w)
-    times = np.logaddexp if mode == "log" else np.add
+    _, zero, _, add, _ = _RINGS[mode]  # the count ring's zero and ⊕
+    ring = vals.dtype, -np.inf, zero, np.maximum, add
     net, m, k = std.net, std.net.m, len(std.sources)
     out_s, into_t = (std.sources, vals[m:m + k]), (std.sinks, vals[m + k:-1])
-    dist = []  # best total s -> v, then best total v -> t
-    for (seeds, w_in), (links, w_out), start, end, backward in (
-            (out_s, into_t, std.s, std.t, False),
-            (into_t, out_s, std.t, std.s, True)):
-        c = np.full(std.t + 1, -np.inf, dtype=vals.dtype)
-        c[start] = -np.inf if mode == "log" else 0
-        with np.errstate(over="ignore"):
-            c[seeds] = times(c[start], w_in)
-            _sweep(c, net, backward, np.maximum, times, vals)
-            c[end] = np.maximum.reduce(times(c[links], w_out),
-                                       initial=-np.inf)
-        dist.append(c)
-    fdist, gdist = dist
+    with np.errstate(over="ignore"):  # best totals s -> v, then v -> t
+        fdist = _from_end(std, False, ring, vals, out_s, into_t)
+        gdist = _from_end(std, True, ring, vals, into_t, out_s)
     optimum = fdist[std.t]
     if mode == "float" and optimum == np.inf:  # every inf total would tie
         raise WeightOverflowError(
@@ -164,11 +155,11 @@ def cpm_path(std: StandardizedNetwork, w: ArcWeights) -> Subnetwork:
             "or mode='log'")
     chosen = []
     for arcs in np.split(np.arange(m), range(_CHUNK, m, _CHUNK)):
-        total = times(times(fdist[net.tails[arcs]], vals[arcs]),
-                      gdist[net.heads[arcs]])
+        total = add(add(fdist[net.tails[arcs]], vals[arcs]),
+                    gdist[net.heads[arcs]])
         chosen.append(arcs[_tied(total, optimum, mode)])
     keep = tuple(np.concatenate(chosen).tolist())
-    on_path = _tied(times(fdist, gdist), optimum, mode)
+    on_path = _tied(add(fdist, gdist), optimum, mode)
     verts = frozenset((np.flatnonzero(on_path[1:]) + 1).tolist())
     return Subnetwork(net, verts - {std.s, std.t}, keep, "cpm_path")
 

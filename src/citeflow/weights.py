@@ -15,12 +15,13 @@ Five weighting methods plus helpers:
          Both count exactly, in O(n*m/64) word operations.
 
 The three flow methods and aging are one count: a forward and a backward
-stage sweep over the original arcs (acyclic._sweep), seeded at the vertices
-linked to s and t, from which every standardized arc, vertex and total value
-follows.  Each runs in one of three numeric modes: "float" (fast, raises on
-overflow to infinity), "exact" (arbitrary-precision integers, Fractions when
-aged), "log" (natural logs of counts; the sane choice beyond roughly a
-million arcs).  The closure bitsets run through the same sweep.
+seeded sweep of the standard form (acyclic._from_end) in the path-count
+semiring, from which every standardized arc, vertex and total value
+follows; cpm_path, main_path and depths run that sweep in their own.  Each
+runs in one of three numeric modes: "float" (fast, raises on overflow to
+infinity), "exact" (arbitrary-precision integers, Fractions when aged),
+"log" (natural logs of counts; the sane choice beyond roughly a million
+arcs).  The closure bitsets run through the same sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .acyclic import StandardizedNetwork, _dag_levels, _sweep
+from .acyclic import StandardizedNetwork, _dag_levels, _from_end, _sweep
 from .network import ArcWeights, Mode, MODES, Network
 
 _WORDS = 64  # most uint64 words per closure bitset: 4096 sources per block
@@ -74,37 +75,33 @@ _RINGS = {
 }
 
 
-def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
-                 alpha: float, mode: Mode):
-    """Two stage sweeps over the input network's arcs; returns (arc values,
-    vertex values, total flow), all aligned with the standardized network:
-    two arrays of the mode's ring dtype and a Python number.
-
-    fwd[v] counts the paths ending at v, bwd[v] those starting at v, each
-    arc on them damped by `alpha`.  A path starts at a vertex linked to s:
-    the minimal ones, then every other vertex with `seed_fwd`; it ends at
-    one linked to t: the maximal ones, then every other with `seed_bwd`.
-    fwd[t] and bwd[s] sum those links in that order.
+def _flow_counts(std: StandardizedNetwork, method: str, seed_fwd: bool,
+                 seed_bwd: bool, mode: Mode,
+                 alpha: float | None = None) -> WeightResult:
+    """The method's result on the standardized arcs from two `_from_end`
+    sweeps in the mode's path-count semiring: links weigh one, input arcs
+    `alpha` (None: undamped).  fwd[v] counts the paths ending at v, bwd[v]
+    those starting at v.  A path starts at a vertex linked to s: the minimal
+    ones, then every other with `seed_fwd`; it ends at one linked to t: the
+    maximal ones, then every other with `seed_bwd`.  fwd[t] and bwd[s] sum
+    those links in that order.
     """
     if mode not in MODES:
         raise ValueError(f"unknown numeric mode: {mode!r}")
     net, s, t = std.net, std.s, std.t
-    dtype, zero, one, plus, times = _RINGS[mode]
-    factor = None if alpha == 1 else {
+    ring = _RINGS[mode]
+    one, times = ring[2], ring[4]
+    factor = None if alpha in (None, 1) else {
         "float": alpha, "exact": Fraction(alpha), "log": math.log(alpha)}[mode]
 
     def linked(ends, everyone):
         return np.r_[ends, np.setdiff1d(np.arange(1, s), ends, True)
-                     if everyone else ends[:0]]
+                     if everyone else ends[:0]], one
 
     to_s, to_t = linked(std.sources, seed_fwd), linked(std.sinks, seed_bwd)
-    fwd, bwd = np.full((2, t + 1), zero, dtype=dtype)
-    fwd[to_s] = bwd[to_t] = one
     with np.errstate(over="ignore", invalid="ignore"):
-        _sweep(fwd, net, False, plus, times, factor)
-        _sweep(bwd, net, True, plus, times, factor)
-        fwd[s], fwd[t] = one, plus.reduce(fwd[to_t], initial=zero)
-        bwd[s], bwd[t] = plus.reduce(bwd[to_s], initial=zero), one
+        fwd = _from_end(std, False, ring, factor, to_s, to_t)
+        bwd = _from_end(std, True, ring, factor, to_t, to_s)
         arc = np.concatenate([times(fwd[net.tails], bwd[net.heads]),
                               bwd[std.sources], fwd[std.sinks], fwd[t:]])
         vertex = times(fwd[1:], bwd[1:])
@@ -113,10 +110,7 @@ def _flow_counts(std: StandardizedNetwork, seed_fwd: bool, seed_bwd: bool,
         raise WeightOverflowError(
             "path counts exceed the double range; rerun in mode='exact' "
             "or mode='log'")
-    return arc, vertex, fwd[t:t + 1].tolist()[0]  # a Python number
-
-
-def _wrap(method, arc, vertex, total, mode, alpha=None) -> WeightResult:
+    total = fwd[t:].tolist()[0]  # a Python number
     return WeightResult(method, ArcWeights(arc, mode), vertex, total, alpha)
 
 
@@ -128,7 +122,7 @@ def spc(std: StandardizedNetwork, mode: Mode = "float") -> WeightResult:
     The feedback arc carries the total flow: the number of distinct paths
     from s to t, which every minimal arc cut's weights sum to.
     """
-    return _wrap("SPC", *_flow_counts(std, False, False, 1.0, mode), mode)
+    return _flow_counts(std, "SPC", False, False, mode)
 
 
 def splc(std: StandardizedNetwork, mode: Mode = "float") -> WeightResult:
@@ -137,7 +131,7 @@ def splc(std: StandardizedNetwork, mode: Mode = "float") -> WeightResult:
     As if the source were linked to every vertex, not only the minimal
     ones; weights are reported for the standardized arcs.
     """
-    return _wrap("SPLC", *_flow_counts(std, True, False, 1.0, mode), mode)
+    return _flow_counts(std, "SPLC", True, False, mode)
 
 
 def spnp(std: StandardizedNetwork, mode: Mode = "float") -> WeightResult:
@@ -147,7 +141,7 @@ def spnp(std: StandardizedNetwork, mode: Mode = "float") -> WeightResult:
     (paths starting at v), trivial paths included; the total flow is the
     number of paths in the whole original network.
     """
-    return _wrap("SPNP", *_flow_counts(std, True, True, 1.0, mode), mode)
+    return _flow_counts(std, "SPNP", True, True, mode)
 
 
 # --- closure methods ---
@@ -217,8 +211,7 @@ def aged_path_counts(std: StandardizedNetwork, alpha: float,
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    return _wrap("SPNP", *_flow_counts(std, True, True, alpha, mode), mode,
-                 alpha=alpha)
+    return _flow_counts(std, "SPNP", True, True, mode, alpha)
 
 
 # --- post-processing ---

@@ -577,7 +577,8 @@ def test_cut_threshold_is_linear_in_every_mode(tmp_path, capsys, threshold):
 
 def test_cut_never_keeps_floored_zeros(tmp_path, capsys):
     # beside 2**1080 chain paths the lone arc's share is below the double
-    # range, so --log floors it one unit under the smallest positive log
+    # range; --log gives it its exact logarithm, about -748.6, which lies
+    # below ln 1e-300 = -690.8 with no floor (`floored` stays empty)
     chain = diamond_chain(1080)
     lone = Network(chain.n + 2, arcs_of(chain) + [(chain.n + 1, chain.n + 2)])
     path = tmp_path / "n.net"

@@ -1,10 +1,12 @@
 """One CLI run per numeric mode on drawn multigraphs: the extractors must pick
 the same arcs and islands in float, log and exact mode.
 
-Each example is a multigraph of up to 12 vertices and 40 arcs with loops,
-parallel arcs and 2-cycles, repaired by shrinking.  Its path counts stay far
-below the 1e-12 tie tolerance of float and log mode, so every mode sees the
-same ties.  The cut threshold is one of the exact normalized shares.
+Each example is a multigraph of up to 12 vertices and 42 arcs with loops,
+parallel arcs and 2-cycles, repaired by shrinking.  Its arcs point any way,
+which makes strong components, or mostly to the larger id, which keeps arcs
+whose weights differ.  Its path counts stay far below the 1e-12 tie
+tolerance of float and log mode, so every mode sees the same ties.  The cut
+threshold is one of the exact normalized shares.
 """
 
 import contextlib
@@ -41,6 +43,22 @@ def multigraphs(draw):
             + "".join(f"{t} {h}\n" for t, h in arcs))
 
 
+@st.composite
+def forward_multigraphs(draw):
+    """Pajek text of a multigraph whose arcs point to the larger id, bar its
+    loops and up to two drawn reversed; its arc count is drawn uniformly, so
+    that most examples weigh their arcs unequally."""
+    n = draw(st.integers(2, 12))
+    vertex, size = st.integers(1, n), draw(st.integers(0, 40))
+    arcs = list(map(sorted, draw(st.lists(st.tuples(vertex, vertex),
+                                          min_size=size, max_size=size))))
+    if arcs:
+        arcs += [(h, t) for t, h in draw(st.lists(st.sampled_from(arcs),
+                                                  max_size=2))]
+    return (f"*Vertices {n}\n*Arcs\n"
+            + "".join(f"{t} {h}\n" for t, h in arcs))
+
+
 def exact_shares(text):
     """The exact normalized SPC shares of the arcs that the CLI weighs."""
     net = simplify(parse_pajek(text))
@@ -71,9 +89,21 @@ def written_arcs(text):
 @given(text=multigraphs(), data=st.data())
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_extractors_agree_across_modes(text, data):
+    agree_across_modes(text, data)
+
+
+@given(text=forward_multigraphs(), data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_extractors_agree_across_modes_on_forward_arcs(text, data):
+    agree_across_modes(text, data)
+
+
+def agree_across_modes(text, data):
+    """Each extractor writes the same arcs (islands) in every mode."""
     shares = exact_shares(text)
     threshold = float(data.draw(st.sampled_from(sorted(set(shares)) or [1])))
     commands = {"mainpath": ["mainpath"], "cpm": ["cpm"],
+                "cpm-aged": ["cpm", "--method", "spnp", "--alpha", "0.5"],
                 "cut": ["cut", "--normalize", "--threshold", repr(threshold)],
                 "islands": ["islands", "--k", "2"]}
     with tempfile.TemporaryDirectory() as tmp:
@@ -93,26 +123,10 @@ def test_extractors_agree_across_modes(text, data):
                     picked.append((files["islands.clu"],
                                    files["island_sizes.csv"]))
                     continue
-                arcs, size = written_arcs(files[f"{name}.net"])
+                arcs, size = written_arcs(files[f"{argv[0]}.net"])
                 assert size == tuple(map(int, REPORT.search(stdout).groups()))
                 picked.append(arcs)
             assert picked[0] == picked[1] == picked[2], (name, threshold)
-
-
-@st.composite
-def forward_multigraphs(draw):
-    """Pajek text of a multigraph whose arcs point to the larger id, bar its
-    loops and up to two drawn reversed; its arc count is drawn uniformly, so
-    that most examples weigh their arcs unequally."""
-    n = draw(st.integers(2, 12))
-    vertex, size = st.integers(1, n), draw(st.integers(0, 40))
-    arcs = list(map(sorted, draw(st.lists(st.tuples(vertex, vertex),
-                                          min_size=size, max_size=size))))
-    if arcs:
-        arcs += [(h, t) for t, h in draw(st.lists(st.sampled_from(arcs),
-                                                  max_size=2))]
-    return (f"*Vertices {n}\n*Arcs\n"
-            + "".join(f"{t} {h}\n" for t, h in arcs))
 
 
 def parsed_column(text):

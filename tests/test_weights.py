@@ -288,6 +288,38 @@ def test_sweeps_cache_nothing_on_the_standard_form():
                                   ("_stage_groups", True)]
 
 
+def test_each_run_sweeps_once_per_direction(monkeypatch):
+    # _from_end and _closures alone call _sweep: two sweeps per flow method
+    # and per cpm_path, one per main_path and per depths, none added
+    net = random_dag(30, 0.3, seed=2)
+    std = standardize(net)
+    weights = {mode: spc(std, mode).arc for mode in MODES}  # builds schedules
+    calls, sweep = [], acyclic_mod._sweep
+
+    def counted(c, net, backward, *args, **kwargs):
+        calls.append(backward)
+        return sweep(c, net, backward, *args, **kwargs)
+
+    monkeypatch.setattr(acyclic_mod, "_sweep", counted)  # _from_end's
+    monkeypatch.setattr(weights_mod, "_sweep", counted)  # _closures'
+
+    def sweeps(run):
+        calls.clear()
+        run()
+        return calls[:]
+
+    for mode, w in weights.items():
+        for fn in (spc, splc, spnp):
+            assert sweeps(lambda: fn(std, mode)) == [False, True]
+        assert sweeps(lambda: aged_path_counts(std, 0.5, mode)) == [
+            False, True]
+        assert sweeps(lambda: cpm_path(std, w)) == [False, True]
+        assert sweeps(lambda: main_path(std, w)) == [False]
+        assert sweeps(lambda: main_path(std, w, single=True)) == [False]
+    assert sweeps(lambda: depths(std)) == [True]
+    assert sweeps(lambda: nppc(net)) == [False, True]  # one source block
+
+
 @pytest.mark.parametrize("cpm_first", [True, False])
 def test_shared_schedule_gives_fresh_results(cpm_first):
     net = random_dag(30, 0.3, seed=5)
