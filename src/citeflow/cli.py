@@ -181,18 +181,21 @@ def _zeros(result, *columns) -> int:
                for col in columns for v in col)
 
 
-def _finish(args, params: dict, files: dict[str, str],
+def _finish(args, params: dict, files: dict[str, str | list[str]],
             stdout_text: str, zeros: int = 0) -> int:
-    """Write each output, encoded once and hashed as written, then the
-    manifest; then the zero count and stdout."""
+    """Write each output, a text or its chunks, encoded and hashed one chunk
+    at a time, then the manifest; then the zero count and stdout."""
     outputs = []
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            data = text.encode()
-            Path(args.out, name).write_bytes(data)
-            outputs.append({"path": name,
-                            "sha256": hashlib.sha256(data).hexdigest()})
+            digest = hashlib.sha256()
+            with open(Path(args.out, name), "wb") as out:
+                for data in map(str.encode, [text] if isinstance(
+                        text, str) else text):
+                    out.write(data)
+                    digest.update(data)
+            outputs.append({"path": name, "sha256": digest.hexdigest()})
         manifest = {
             "command": args.command,
             "created_utc": datetime.now(timezone.utc).isoformat(
@@ -321,23 +324,23 @@ def _cmd_weights(args, net, std, result, params, repaired):
     if args.jsonl:  # json.dumps(sort_keys=True, default=str)'s bytes
         encode = json.JSONEncoder(default=str).encode  # fractions as strings
 
-        def encoded(column):  # one encoder per slice, split into values
-            return encode(list(column))[1:-1].split(", ")
+        def encoded(column):  # one encoder per slice, a value a line
+            return encode(list(column))[1:-1].replace(", ", "\n")
         lines = [json.dumps({
             "record": "summary", "method": result.method,
             "mode": params["mode"], "alpha": result.alpha,
             "normalized": result.normalized, "total_flow": result.total_flow,
-            "vertices": net.n, "arcs": net.m}, sort_keys=True, default=str)]
+            "vertices": net.n, "arcs": net.m}, sort_keys=True,
+            default=str) + "\n"]
         lines += _rows('{{"head": {}, "index": {}, "record": "arc", "tail": '
                        '{}, "weight": {}}}', net.m, lambda at: (
-                           net.heads[at].tolist(), range(net.m)[at],
-                           net.tails[at].tolist(),
+                           net.heads[at], range(net.m)[at], net.tails[at],
                            encoded(arc_vals[at].tolist())))
         if vertex is not None:
             lines += _rows('{{"id": {}, "record": "vertex", "weight": {}}}',
                            net.n, lambda at: (range(1, net.n + 1)[at],
                                               encoded(vertex[at])))
-        files[f"{args.method}.jsonl"] = "\n".join([*lines, ""])
+        files[f"{args.method}.jsonl"] = lines  # written as they are
 
     return params, files, "\n".join(summary), _zeros(
         result, arc_vals, () if vertex is None else vertex)

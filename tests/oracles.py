@@ -447,3 +447,13 @@ def hits_reference(net, tolerance=1e-12, max_iter=1000):
         if residual < tolerance:
             return hub, auth, rounds, residual, True
     return hub, auth, max_iter, residual, False
+
+
+def render_rows(form, *columns):
+    """The lines `form.format(*row)` of the rows of `columns` (Python
+    values), one text: a str as it is, a number as format_number writes it,
+    one value at a time."""
+    from citeflow import format_number
+    return "".join(form.format(*(value if isinstance(value, str)
+                                 else format_number(value) for value in row))
+                   + "\n" for row in zip(*columns))

@@ -6,7 +6,9 @@ parallel arcs and 2-cycles, repaired by shrinking.  Its arcs point any way,
 which makes strong components, or mostly to the larger id, which keeps arcs
 whose weights differ.  Its path counts stay far below the 1e-12 tie
 tolerance of float and log mode, so every mode sees the same ties.  The cut
-threshold is one of the exact normalized shares.
+threshold is one of the exact normalized shares.  Both mode-agreement
+properties also run a fixed set of graphs whose arcs weigh unequally
+(`SPREAD`), so that what they cover does not rest on the examples drawn.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from citeflow import (is_acyclic, normalize, parse_pajek, shrink_components,
                       simplify, spc, standardize)
@@ -86,22 +88,52 @@ def written_arcs(text):
     return labels, (net.n, net.m)
 
 
-@given(text=multigraphs(), data=st.data())
+# (graph, share level of the cut threshold): parallel arcs, loops, 2-cycles
+# and larger strong components among them, each weighing its arcs unequally
+SPREAD = [
+    ("*Vertices 4\n*Arcs\n1 2\n1 3\n2 3\n2 4\n3 4\n", 0),
+    ("*Vertices 4\n*Arcs\n1 2\n1 3\n2 3\n2 4\n3 4\n", 1),
+    ("*Vertices 6\n*Arcs\n1 2\n1 2\n2 3\n3 2\n3 4\n1 4\n4 5\n4 6\n5 6\n"
+     "6 6\n2 5\n", 1),
+    ("*Vertices 7\n*Arcs\n1 3\n2 3\n3 4\n3 5\n4 6\n5 6\n2 5\n6 7\n1 7\n", 2),
+    ("*Vertices 8\n*Arcs\n1 2\n2 3\n3 1\n3 4\n4 5\n5 4\n4 6\n2 6\n6 7\n"
+     "7 8\n1 8\n5 8\n", 1),
+    *(("*Vertices 12\n*Arcs\n" + "".join(f"{t} {h}\n" for t, h in [
+        (1, 5), (1, 8), (1, 11), (2, 3), (2, 6), (2, 7), (2, 8), (2, 10),
+        (3, 6), (3, 7), (3, 10), (3, 12), (4, 5), (4, 8), (4, 12), (5, 6),
+        (5, 8), (6, 7), (6, 11), (6, 12), (7, 10), (7, 12), (8, 11),
+        (8, 12), (9, 10), (9, 12), (10, 11)]), level) for level in (0, 3, 6)),
+]
+
+
+def spread(test):
+    """`test` with every SPREAD graph as an explicit example."""
+    for text, level in SPREAD:
+        test = example(text=text, level=level)(test)
+    return test
+
+
+@spread
+@given(text=multigraphs(), level=st.integers(0, 40))
 @settings(max_examples=50, deadline=None, derandomize=True)
-def test_extractors_agree_across_modes(text, data):
-    agree_across_modes(text, data)
+def test_extractors_agree_across_modes(text, level):
+    agree_across_modes(text, level)
 
 
-@given(text=forward_multigraphs(), data=st.data())
+@spread
+@given(text=forward_multigraphs(), level=st.integers(0, 40))
 @settings(max_examples=30, deadline=None, derandomize=True)
-def test_extractors_agree_across_modes_on_forward_arcs(text, data):
-    agree_across_modes(text, data)
+def test_extractors_agree_across_modes_on_forward_arcs(text, level):
+    agree_across_modes(text, level)
 
 
-def agree_across_modes(text, data):
-    """Each extractor writes the same arcs (islands) in every mode."""
+def agree_across_modes(text, level):
+    """Each extractor writes the same arcs (islands) in every mode; the cut
+    keeps the arcs at or above share level `level` (wrapped round)."""
     shares = exact_shares(text)
-    threshold = float(data.draw(st.sampled_from(sorted(set(shares)) or [1])))
+    levels = sorted(set(shares)) or [1]
+    assert len(levels) > 1 or (text, level) not in SPREAD
+    threshold = float(levels[level % len(levels)])
     commands = {"mainpath": ["mainpath"], "cpm": ["cpm"],
                 "cpm-aged": ["cpm", "--method", "spnp", "--alpha", "0.5"],
                 "cut": ["cut", "--normalize", "--threshold", repr(threshold)],

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citeflow import (ArcWeights, Network, PajekParseError, Subnetwork,
-                      format_number, parse_pajek, write_pajek, write_partition,
-                      write_subnetwork, write_vector)
+from citeflow import (ArcWeights, Network, PajekParseError, Subnetwork, cli,
+                      complete_acyclic, format_number, parse_pajek, write_pajek,
+                      write_partition, write_subnetwork, write_vector)
 from citeflow import pajek
 
 from conftest import arcs_of
@@ -363,6 +363,21 @@ def _random_arcs_text(seed: int) -> str:
     return f"*Vertices {n}\n*Arcs\n" + "\n".join(rows) + "\n"
 
 
+def _random_floats_text(seed: int) -> str:
+    """Valid arcs whose weights are float reprs of every magnitude and sign,
+    whole floats such as `12.0`, and integers of up to 25 digits."""
+    rng = np.random.default_rng(seed)
+    n, m = 50, 2000
+    tails, heads = rng.integers(1, n + 1, (2, m)).tolist()
+    rows = []
+    for t, h, w, digits in zip(tails, heads, (rng.standard_normal(m) * 10.0 ** (
+            rng.integers(-320, 306, m))).tolist(), rng.integers(-25, 26, m)):
+        weight = (repr(w) if digits < 0 else repr(float(digits)) if digits < 3
+                  else str(int(rng.integers(10 ** 8))) * (digits // 8 + 1))
+        rows.append(f"{t} {h} {weight}")
+    return f"*Vertices {n}\n*Arcs\n" + "\n".join(rows) + "\n"
+
+
 TWO_PATHS = [  # (text, whether an *Arcs section takes the array read)
     pytest.param('*Vertices 3\n\n1 "a"\n\t\n*Arcs\n1\t2\n\n 2 3 \t4 \n\n',
                  True, id="blanks-and-tabs"),
@@ -377,7 +392,7 @@ TWO_PATHS = [  # (text, whether an *Arcs section takes the array read)
     pytest.param("*Vertices 9\n*Arcs\n007 3 007\n", True, id="leading-zeros"),
     pytest.param("*Vertices 9\n*Arcs\n007 3 +3\n1 2 1_0\n", False,
                  id="sign-and-underscore"),
-    pytest.param("*Vertices 2\n*Arcs\n1 2 99999999999999999999\n", False,
+    pytest.param("*Vertices 2\n*Arcs\n1 2 99999999999999999999\n", True,
                  id="20-digit-weight"),
     pytest.param("*Vertices 2\n*Arcs\n1 2 123456789012345678\n", True,
                  id="18-digit-weight"),
@@ -392,6 +407,24 @@ TWO_PATHS = [  # (text, whether an *Arcs section takes the array read)
     pytest.param("*Vertices 3\n*Arcs\n\n", False, id="blank-body"),
     pytest.param("*Vertices 3\n*Arcs", True, id="header-on-last-line"),
     pytest.param(_random_arcs_text(1), True, id="random-arcs"),
+    pytest.param("*Vertices 3\n*Arcs\n1 2 0.30000000000000004\n"
+                 "2 3 1.2345678901234567e-300\n3 1 -0.7071067811865476\n",
+                 True, id="17-digit-reprs"),
+    pytest.param("*Vertices 3\n*Arcs\n1 2 1e16\n2 3 2.5E+16\n1 3 5e-324\n"
+                 "3 2 1.7976931348623157e308\n2 1 1e400\n3 3 -4.2e-7\n", True,
+                 id="exponents"),
+    pytest.param("*Vertices 2\n*Arcs\n1 2 -0.0\n2 1 0.0\n1 1 -0\n", True,
+                 id="negative-zero"),
+    pytest.param("*Vertices 2\n*Arcs\n1 2 9007199254740993\n"
+                 "2 1 9007199254740993.0\n1 1 9007199254740995\n", True,
+                 id="2**53+1"),
+    pytest.param("*Vertices 2\n*Arcs\n1 2 5.\n2 1 .5\n1 1 -.5\n2 2 5.e3\n"
+                 "1 2 1E-5\n", True, id="float-corners"),
+    pytest.param("*Vertices 2\n*Arcs\n1 2 2.5\n+1 2 0.5\n", False,
+                 id="signed-endpoint"),
+    pytest.param("*Vertices 2\n*Arcs\n1 2 +0.5\n2 1 1e5\n", False,
+                 id="leading-plus"),
+    pytest.param(_random_floats_text(2), True, id="random-floats"),
 ]
 
 
@@ -408,6 +441,7 @@ def _parse_both_ways(text, monkeypatch):
     fast = parse_pajek(text)
     monkeypatch.setattr(pajek, "_strict_arcs", lambda body, n: None)
     # no plain vertex line found: every *Vertices body goes line by line
+    monkeypatch.setattr(pajek, "_plain_labels", lambda body, n: None)
     monkeypatch.setattr(pajek, "re", SimpleNamespace(findall=lambda *a: [],
                                                      M=re.M))
     return fast, parse_pajek(text), any(strict)
@@ -420,6 +454,62 @@ def test_strict_and_line_paths_agree(text, strict, monkeypatch):
     assert fast == slow
     assert fast.labels == slow.labels
     assert fast.weights.tobytes() == slow.weights.tobytes()
+
+
+@pytest.mark.parametrize("line", [
+    "2 1 1.5.5", "2 1 1e", "2 1 1e+", "2 1 .", "2 1 -", "2 1 --1", "2 1 1e5.5",
+    "2 1 1e5e5", "2 1 e5", "2 1 .e5", "2 1 -.e5", "2 1 1-2", "2 1 5e-",
+    "2 1 1.-5", "2 1 -e5", "2 1 1E+-5", "-1 2 0.5", "1.0 2 0.5", "1 2e0 5"])
+def test_malformed_float_lines_are_named_by_the_line_reader(line, monkeypatch):
+    strict = []
+    real = pajek._strict_arcs
+    monkeypatch.setattr(pajek, "_strict_arcs", lambda body, n: strict.append(
+        real(body, n)) or strict[-1])
+    with pytest.raises(PajekParseError, match="^line 4: "):
+        parse_pajek(f"*Vertices 2\n*Arcs\n1 2 0.5\n{line}\n2 2 7\n")
+    assert strict == [None]
+
+
+FLOAT = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")  # the strict form
+
+
+@given(st.lists(st.text("0123456789.eE+-", min_size=1, max_size=7),
+                min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_strict_float_weights_follow_the_grammar(weights):
+    # a weight of these bytes takes the array read exactly when it has the
+    # strict form, and then reads as float() reads it
+    body = "".join(f"{i % 3 + 1} 2 {w}\n" for i, w in enumerate(weights))
+    columns = pajek._strict_arcs(body, 3)
+    assert (columns is not None) == all(map(FLOAT.fullmatch, weights))
+    if columns is not None:
+        assert columns[2].tobytes() == np.array(
+            [float(w) for w in weights]).tobytes()
+
+
+def test_written_weights_skip_the_line_reader(tmp_path, monkeypatch):
+    # every number citeflow writes is read back whole: shares with
+    # exponents, negative logarithms, exact counts past 2**64
+    def line_reader(*args):
+        raise AssertionError("a written *Arcs body read line by line")
+
+    src = tmp_path / "in.net"
+    src.write_text(write_pajek(complete_acyclic(70)))  # counts up to 2**68
+    for mode, options in [("float", []), ("float", ["--normalize"]),
+                          ("log", []), ("log", ["--normalize"]), ("exact", []),
+                          ("exact", ["--normalize"]), ("float", ["--log"])]:
+        out = tmp_path / mode / "-".join(options)
+        assert cli.main(["weights", str(src), "--mode", mode, *options,
+                         "--out", str(out)]) == 0
+        text = (out / "spc.net").read_text()
+        with monkeypatch.context() as patched:
+            patched.setattr(pajek, "_arc_lines", line_reader)
+            fast = parse_pajek(text)
+        with monkeypatch.context() as patched:
+            patched.setattr(pajek, "_strict_arcs", lambda body, n: None)
+            slow = parse_pajek(text)
+        assert fast == slow
+        assert fast.weights.tobytes() == slow.weights.tobytes()
 
 
 def test_plain_vertex_lines_skip_the_line_reader(monkeypatch):

@@ -2,9 +2,11 @@
 .net vertex lines and --jsonl records must read the same across slice
 boundaries as one value or one record at a time, and peak at a small
 multiple of their output.  `pajek._CHUNK` is patched small so that a few
-hundred rows cross several slices."""
+hundred rows cross several slices.  The last properties check every writer
+byte for byte against `oracles.render_rows`, one value at a time."""
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -13,13 +15,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from citeflow import (ArcWeights, Network, aged_path_counts, cli,
+from citeflow import (ArcWeights, Network, Subnetwork, aged_path_counts, cli,
                       complete_acyclic, format_number, log_transform,
                       normalize, pajek, parse_pajek, spc, standardize,
-                      write_pajek, write_partition, write_vector)
+                      write_pajek, write_partition, write_subnetwork,
+                      write_vector)
 from citeflow.weights import WeightResult
 
+from oracles import render_rows
 from test_pajek import CORPUS, EDGE
 
 CHUNK = 16  # rows per slice in these tests
@@ -202,7 +207,7 @@ def test_vector_peak_over_many_slices(monkeypatch, kind):
 def test_jsonl_peak_over_many_slices(monkeypatch):
     # one dumps per record, kept in a list of every record, peaks at 3.4
     # times the .net, .vec and .jsonl texts on this input; one slice at a
-    # time, at 2.1
+    # time joined into one text, at 2.1; kept as the slices' bytes, at 1.7
     monkeypatch.setattr(pajek, "_CHUNK", 1 << 11)
     rng = np.random.default_rng(13)
     n, m = 3000, 12 * pajek._CHUNK
@@ -214,6 +219,127 @@ def test_jsonl_peak_over_many_slices(monkeypatch):
     params = {"mode": "log"}
     files, peak = _peak(lambda: cli._cmd_weights(
         args, net, None, result, params, "none")[1])
+    files["spc.jsonl"] = "".join(files["spc.jsonl"])  # as written
     size = sum(map(len, files.values()))
     assert files["spc.jsonl"].count("\n") == 1 + m + n
     assert peak <= 3 * size, f"peak {peak / size:.1f}x the outputs"
+
+
+# --- every writer against the one-value-at-a-time oracle ---
+
+INT64 = (-2 ** 63, 2 ** 63 - 1)
+EDGES = [*INT64, 0, -1, 2 ** 32 - 1, 2 ** 32, -2 ** 32, 10 ** 18, -10 ** 17]
+FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, -1e16,
+          float(np.nextafter(1e16, 0)), float(np.nextafter(1e16, math.inf)),
+          float(2 ** 53 - 1), float(2 ** 53 + 2), 2.0 ** 63, 2.0 ** 32, 0.5,
+          5e-324]
+NUMBERS = [*EDGES, 2 ** 53 - 1, 2 ** 53 + 1, 2 ** 63, 2 ** 64 + 1,
+           -2 ** 70, Fraction(1, 3), Fraction(-7, 2), Fraction(10, 5), *FLOATS]
+ROWS = 3 * CHUNK + 5  # rows of a column at most: crosses slice boundaries
+
+
+def columns(size):
+    """A number column of `size` rows as a writer takes it: a float64,
+    int64, int32 or uint64 array, or Python numbers (ints past int64,
+    Fractions, floats) in a tuple, a list or an object array."""
+    def rows(values):
+        return st.lists(values, min_size=size, max_size=size)
+
+    python = st.one_of(st.sampled_from(NUMBERS), st.integers(), st.floats(),
+                       st.fractions())
+    return st.one_of(
+        rows(st.one_of(st.sampled_from(FLOATS), st.floats())).map(
+            partial(np.array, dtype=np.float64)),
+        rows(st.one_of(st.sampled_from(EDGES), st.integers(*INT64))).map(
+            partial(np.array, dtype=np.int64)),
+        rows(st.integers(-2 ** 31, 2 ** 31 - 1)).map(
+            partial(np.array, dtype=np.int32)),
+        rows(st.one_of(st.sampled_from([0, 2 ** 32, 2 ** 64 - 1]),
+                       st.integers(0, 2 ** 64 - 1))).map(
+            partial(np.array, dtype=np.uint64)),
+        rows(python).map(tuple), rows(python),
+        rows(python).map(partial(np.array, dtype=object)))
+
+
+def python_values(column):
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+# quotes, tabs, spaces, NUL, non-ASCII and empty labels: a label with a quote
+# is one token that does not start with it, as a written label must be
+LABEL = st.one_of(
+    st.text(st.sampled_from(' \tab\x00\u00e9\u6f22%*'), max_size=4),
+    st.builds("{}{}\"{}".format, st.text(st.sampled_from("a\u00e9\x00"),
+                                          min_size=1, max_size=2),
+              st.text(st.sampled_from('"b'), max_size=2),
+              st.text(st.sampled_from("c\u00fc"), max_size=2)))
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _vertex_lines(labels):
+    return render_rows("{} {}", range(1, len(labels) + 1), [
+        label if '"' in label else f'"{label}"' for label in labels])
+
+
+@given(data=st.data())
+@SETTINGS
+def test_vectors_and_partitions_render_as_the_oracle(small_chunk, data):
+    size = data.draw(st.integers(0, ROWS))
+    values = data.draw(columns(size))
+    assert write_vector(values) == f"*Vertices {size}\n" + render_rows(
+        "{}", python_values(values))
+    classes = data.draw(st.lists(st.integers(*INT64), min_size=size,
+                                 max_size=size))
+    assert write_partition(classes) == f"*Vertices {size}\n" + render_rows(
+        "{}", classes)
+
+
+@given(data=st.data())
+@SETTINGS
+def test_networks_and_subnetworks_render_as_the_oracle(small_chunk, data):
+    labels = data.draw(st.lists(LABEL, min_size=1, max_size=ROWS))
+    n = len(labels)
+    m = data.draw(st.integers(0, ROWS))
+    ends = st.lists(st.integers(1, n), min_size=m, max_size=m)
+    tails, heads, weights = data.draw(ends), data.draw(ends), data.draw(
+        columns(m))
+    net = Network.from_arrays(n, tails, heads, None, labels)
+    assert write_pajek(net, weights) == (
+        f"*Vertices {n}\n" + _vertex_lines(labels) + "*Arcs\n"
+        + render_rows("{} {} {}", tails, heads, python_values(weights)))
+    assert parse_pajek(write_pajek(net)).labels == net.labels
+
+    vertices = data.draw(st.sets(st.integers(1, n), min_size=1))
+    arcs = tuple(a for a in range(m) if {tails[a], heads[a]} <= vertices)
+    sub = Subnetwork(net, frozenset(vertices), arcs, "arc_cut")
+    dense = sub.to_network()
+    picked = [python_values(weights)[a] for a in arcs]
+    assert write_subnetwork(sub, weights) == (
+        f"*Vertices {dense.n}\n" + _vertex_lines(dense.labels) + "*Arcs\n"
+        + render_rows("{} {} {}", dense.tails.tolist(), dense.heads.tolist(),
+                      picked))
+
+
+@given(data=st.data())
+@SETTINGS
+def test_jsonl_records_render_as_the_oracle(small_chunk, data):
+    n, m = data.draw(st.integers(1, ROWS)), data.draw(st.integers(0, ROWS))
+    ends = st.lists(st.integers(1, n), min_size=m, max_size=m)
+    net = Network.from_arrays(n, data.draw(ends), data.draw(ends))
+    mode = data.draw(st.sampled_from(["float", "exact"]))
+    arc, vertex = (np.array(data.draw(st.lists(st.one_of(
+        st.sampled_from(FLOATS), st.floats()), min_size=size, max_size=size)))
+        if mode == "float" else np.array(python_values(data.draw(
+            columns(size))), object) for size in (m, n))
+    result = WeightResult("SPC", ArcWeights(arc, mode), vertex, 1)
+    args = SimpleNamespace(method="spc", jsonl=True, log=False)
+    files = cli._cmd_weights(args, net, None, result, {"mode": mode},
+                             "none")[1]
+    lines = "".join(files["spc.jsonl"]).split("\n", 1)[1]
+    assert lines == render_rows(
+        '{{"head": {}, "index": {}, "record": "arc", "tail": {}, '
+        '"weight": {}}}', net.heads.tolist(), range(m), net.tails.tolist(),
+        list(map(dumps, arc.tolist()))) + render_rows(
+        '{{"id": {}, "record": "vertex", "weight": {}}}', range(1, n + 1),
+        list(map(dumps, vertex.tolist())))
