@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import Network, _merged
+from .network import Network, _merged, _unique
 
 
 class CycleError(Exception):
@@ -144,7 +144,7 @@ def preprint_transform(net: Network) -> Network:
     n, tails, heads = net.n, net.tails, net.heads
     cls = np.array((0,) + net._memo(_tarjan).class_of, dtype=np.int64)
     inner = cls[tails] == cls[heads]  # the tails: every vertex on a cycle
-    members = np.unique(tails[inner])
+    members = _unique(tails[inner])
     twin = np.zeros(n + 1, dtype=np.int64)
     twin[members] = np.arange(n + 1, n + 1 + len(members))
     labels = list(net.labels) + [net.labels[v - 1] + "'"

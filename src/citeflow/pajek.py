@@ -4,15 +4,15 @@ Supported .net grammar: one ``*Vertices n`` header, optional vertex lines
 ``id "label"`` (bare labels allowed, trailing layout fields ignored), one or
 more ``*Arcs`` sections of ``tail head [weight]`` lines, ``%`` comments and
 blank lines anywhere.  ``*Edges`` is rejected: citation networks are directed.
-A body that passes a strict check is read whole, others line by line: the
-lines ``1 "a"`` to ``n "z"`` by one split, plain arc lines (float weights
-too) by ``np.fromstring``.  The writers render one slice of rows at a time,
+Each section body has two readers: one that passes a strict check is read
+whole (the lines ``1 "a"`` to ``n "z"`` by one split, plain arc lines, float
+weights too, by ``np.fromstring``), any other line by line, and an error
+names its first bad line.  The writers render one slice of rows at a time,
 integers by digit arithmetic on arrays and other values from their strs.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -35,8 +35,8 @@ def parse_pajek(text: str) -> Network:
 
     Vertices without an explicit line get str(id) as label.  Parallel arcs
     and loops are preserved exactly as given.  A body of plain arc lines
-    (see _strict_arcs) or of plain ``id "label"`` lines is read whole; any
-    other is read line by line, and an error names the first bad line.
+    (see _strict_arcs) or of the lines ``1 "a"`` to ``n "z"`` is read whole;
+    any other is read line by line, and an error names the first bad line.
     """
     flat = ("\n".join(text.splitlines())  # "\n" for every line break
             if any(map(text.__contains__, _LINE_BREAKS[1:])) else text)
@@ -177,35 +177,26 @@ def _plain_labels(body: str, n: int) -> list[str] | None:
 
 
 def _labels(body: str, line_no: int, n: int) -> list[str]:
-    """The labels of any other *Vertices body: by a regex if every line is
-    plain, else line by line.  A vertex with no line is labelled str(id)."""
+    """The labels of any other *Vertices body, read line by line, like
+    Pajek's right-aligned ids; a vertex with no line is labelled str(id)."""
     labels = [str(v) for v in range(1, n + 1)]
-    found = re.findall(  # an id of 1 to 18 digits, no leading 0
-        r'^[ \t]*(?:([1-9]\d{0,17})[ \t]+"([^"\n]*)"[ \t]*)?$', body, re.M)
-    rows = [(int(vid), label) for vid, label in found if vid]
-    if len(found) <= body.count("\n") or rows and max(rows)[0] > n:
-        rows = [_vertex_line(line, no, n) for no, line in enumerate(
-            map(str.strip, body.split("\n")), start=line_no + 1)
-            if line and line[0] != "%"]
-    for vid, label in rows:
+    for no, line in enumerate(body.split("\n"), start=line_no + 1):
+        parts = line.split(None, 1)
+        if not parts or parts[0][0] == "%":
+            continue
+        try:
+            vid = int(parts[0])
+        except ValueError:
+            raise PajekParseError("vertex id is not an integer", no) from None
+        label = parts[1] if len(parts) == 2 else str(vid)  # quoted, or a token
+        label, quote, _ = (label[1:].partition('"') if label[:1] == '"'
+                           else (label.split()[0], '"', ""))
+        if not quote:
+            raise PajekParseError("unterminated label quote", no)
+        if not 1 <= vid <= n:
+            raise PajekParseError(f"vertex id {vid} out of range 1..{n}", no)
         labels[vid - 1] = label
     return labels
-
-
-def _vertex_line(line: str, line_no: int, n: int) -> tuple[int, str]:
-    parts = line.split(None, 1)
-    try:
-        vid = int(parts[0])
-    except ValueError:
-        raise PajekParseError("vertex id is not an integer", line_no) from None
-    label = parts[1] if len(parts) == 2 else str(vid)  # quoted, or one token
-    label, quote, _ = (label[1:].partition('"') if label[:1] == '"'
-                       else (label.split()[0], '"', ""))
-    if not quote:
-        raise PajekParseError("unterminated label quote", line_no)
-    if not 1 <= vid <= n:
-        raise PajekParseError(f"vertex id {vid} out of range 1..{n}", line_no)
-    return vid, label
 
 
 # --- writers ---

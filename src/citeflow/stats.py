@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acyclic import _levels, shrink_components, strong_components
+from .acyclic import _levels, strong_components
 from .network import Network, _forest
 
 
@@ -41,12 +41,17 @@ def network_stats(net: Network) -> NetworkStats:
     largest = int(comp_sizes.max(initial=0))
     nontrivial = int(np.count_nonzero(comp_sizes >= 2))
 
-    sizes = strong_components(net).sizes()  # shrink_components reads it
-    scc_counts = Counter(size for size in sizes if size >= 2)
+    part = strong_components(net)
+    scc_counts = Counter(size for size in part.sizes() if size >= 2)
 
     level, order = _levels(net)
     if len(order) < n:  # the condensation of any digraph is acyclic
-        level = _levels(shrink_components(net))[0]
+        cls = np.array((0,) + part.class_of, dtype=np.int64)
+        tails, heads = cls[net.tails], cls[net.heads]
+        keep = tails != heads  # parallel arcs leave the longest paths as is
+        level = _levels(Network.from_arrays(  # levels read no label
+            part.class_count, tails[keep], heads[keep], None,
+            ("",) * part.class_count))[0]
     depth = int(level.max()) + 1 if n else 0
 
     return NetworkStats(

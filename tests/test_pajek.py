@@ -1,7 +1,6 @@
 import re
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -440,10 +439,8 @@ def _parse_both_ways(text, monkeypatch):
     monkeypatch.setattr(pajek, "_strict_arcs", spy)
     fast = parse_pajek(text)
     monkeypatch.setattr(pajek, "_strict_arcs", lambda body, n: None)
-    # no plain vertex line found: every *Vertices body goes line by line
+    # no body read whole: every *Vertices body goes line by line
     monkeypatch.setattr(pajek, "_plain_labels", lambda body, n: None)
-    monkeypatch.setattr(pajek, "re", SimpleNamespace(findall=lambda *a: [],
-                                                     M=re.M))
     return fast, parse_pajek(text), any(strict)
 
 
@@ -516,8 +513,65 @@ def test_plain_vertex_lines_skip_the_line_reader(monkeypatch):
     def line_reader(*args):
         raise AssertionError("plain vertex line read line by line")
 
-    monkeypatch.setattr(pajek, "_vertex_line", line_reader)
+    monkeypatch.setattr(pajek, "_labels", line_reader)
     assert parse_pajek(DIAMOND).labels == ("a", "b", "c", "d")
+
+
+RIGHT_ALIGNED = "".join(f'{v:>3} "v{v}"\n' for v in range(1, 13))
+
+
+@pytest.mark.parametrize("n, body, labels", [
+    pytest.param(12, RIGHT_ALIGNED, [f"v{v}" for v in range(1, 13)],
+                 id="right-aligned"),
+    pytest.param(3, '1\t"a"\n2\t"b b"\t\n\t3\t"c"\n', ["a", "b b", "c"],
+                 id="tabs"),
+    pytest.param(3, '  1 "a"\n\n   \n  2 "b"\n\n', ["a", "b", "3"],
+                 id="blank-lines"),
+    pytest.param(5, ' 2 "b"\n 4 "d"\n', ["1", "b", "3", "d", "5"],
+                 id="vertices-with-no-line"),
+    pytest.param(3, ' 3 "c"\n 1 "a"\n 2 "b"\n', ["a", "b", "c"],
+                 id="out-of-order"),
+    pytest.param(2, '% Pajek\n  1 "a"\n  % note\n  2 "b"\n', ["a", "b"],
+                 id="comment"),
+])
+def test_vertex_layouts_read_line_by_line(n, body, labels, monkeypatch):
+    # bodies other than the lines `1 "a"` to `n "z"`, Pajek's own among them
+    read = []
+    real = pajek._labels
+    monkeypatch.setattr(pajek, "_labels", lambda *args: read.append(
+        real(*args)) or read[-1])
+    net = parse_pajek(f"*Vertices {n}\n{body}*Arcs\n1 2\n")
+    assert net.labels == tuple(labels)
+    assert read == [labels]
+
+
+@pytest.mark.parametrize("body, line_no, fragment", [
+    ('  1 "a"\n 12 "l"\n  3 "c"\n', 3, "vertex id 12 out of range 1..3"),
+    ('  1 "a"\n\n  2 "b\n', 4, "unterminated label quote"),
+    ('  1 "a"\n  x "b"\n', 3, "vertex id is not an integer"),
+])
+def test_right_aligned_vertex_errors_name_the_line(body, line_no, fragment):
+    with pytest.raises(PajekParseError) as err:
+        parse_pajek(f"*Vertices 3\n{body}")
+    assert str(err.value) == f"line {line_no}: {fragment}"
+
+
+def test_parse_peak_on_right_aligned_vertex_lines():
+    # Pajek pads each id to the width of n, so the body is read line by
+    # line, at about 14 times the text on this input; a reader that also
+    # holds a row per line (a regex's matches) peaks at about 22
+    n = 100_000
+    text = "".join([f"*Vertices {n}\n", *(f'{v:>6} "p{v}"\n'
+                                          for v in range(1, n + 1)),
+                    "*Arcs\n1 2\n"])
+    tracemalloc.start()
+    try:
+        net = parse_pajek(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.labels == tuple(f"p{v}" for v in range(1, n + 1))
+    assert peak <= 17 * len(text), f"peak {peak / len(text):.1f}x the text"
 
 
 def test_twenty_digit_weight_reads_as_float_does():
